@@ -5,6 +5,10 @@ uniform tensor mesh.  Functions sampled on the mesh are ``Surface`` objects;
 generic coordinate vectors are plain float ndarrays.  Discrete L2 norms use
 the trapezoidal rule on surfaces and the euclidean norm on vectors.
 
+Bilinear grid transfer is stored as two-tap stencils per axis, memoized per
+(source, target) grid pair; prolongation gathers with them and its transpose
+scatter-adds with them.
+
 All objects here are immutable after construction, so every operation in this
 module is a pure function safe to call from concurrent workers.
 """
@@ -23,6 +27,7 @@ __all__ = [
     "vector",
     "constant_surface",
     "interpolate",
+    "interpolate_adjoint",
     "norm",
     "inner",
     "clamp",
@@ -216,11 +221,13 @@ def clamp(x, bounds):
     return np.clip(np.asarray(x, dtype=float), lo, hi)
 
 
-def _interp_matrix_1d(n_src: int, h_src: float, x0_src: float, x_dst: np.ndarray) -> np.ndarray:
-    """Linear interpolation matrix from source nodes to target coordinates.
+def _axis_taps(n_src: int, h_src: float, x0_src: float, x_dst: np.ndarray) -> tuple:
+    """Two-tap linear interpolation from source nodes to target coordinates.
 
-    Targets that coincide with a source node (relative tolerance _SNAP) get a
-    single unit weight, so restriction between nested grids is exact.
+    Returns read-only ``(index, weight)`` arrays of shape (len(x_dst), 2):
+    target k is ``weight[k, 0] * src[index[k, 0]] + weight[k, 1] * src[index[k, 1]]``.
+    Targets that coincide with a source node (relative tolerance _SNAP) take
+    that node with weights (1, 0), so restriction of nested grids is exact.
     """
     pos = (np.asarray(x_dst, dtype=float) - x0_src) / h_src
     span = n_src - 1
@@ -229,24 +236,26 @@ def _interp_matrix_1d(n_src: int, h_src: float, x0_src: float, x_dst: np.ndarray
     pos = np.clip(pos, 0.0, float(span))
     nearest = np.rint(pos)
     snap = np.abs(pos - nearest) <= _SNAP * np.maximum(1.0, np.abs(pos))
-    i = np.floor(pos).astype(int)
-    i = np.minimum(i, span - 1)
+    i = np.minimum(np.floor(pos).astype(int), span - 1)
     w = pos - i
-    mat = np.zeros((pos.size, n_src))
-    rows = np.arange(pos.size)
-    mat[rows, i] = 1.0 - w
-    mat[rows, i + 1] += w
-    if snap.any():
-        mat[snap, :] = 0.0
-        mat[rows[snap], nearest[snap].astype(int)] = 1.0
-    return mat
+    index = np.stack([i, i + 1], axis=1)
+    weight = np.stack([1.0 - w, w], axis=1)
+    index[snap] = nearest[snap, None].astype(int)
+    weight[snap] = (1.0, 0.0)
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
 
 
-def transfer_matrices(src: Grid, dst: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """1-d interpolation matrices (Mt, My) with interp(u) = Mt @ u @ My.T."""
-    mt = _interp_matrix_1d(src.nt, src.dt, src.t_min, dst.t_nodes())
-    my = _interp_matrix_1d(src.ny, src.dy, src.y_min, dst.y_nodes())
-    return mt, my
+@lru_cache(maxsize=64)
+def transfer_matrices(src: Grid, dst: Grid) -> tuple:
+    """Bilinear prolongation stencils ``((it, wt), (iy, wy))`` from ``src`` to ``dst``.
+
+    One two-tap ``(index, weight)`` pair per axis (see ``_axis_taps``),
+    memoized per grid pair: equal pairs get the identical read-only arrays.
+    """
+    return (_axis_taps(src.nt, src.dt, src.t_min, dst.t_nodes()),
+            _axis_taps(src.ny, src.dy, src.y_min, dst.y_nodes()))
 
 
 def interpolate(u: Surface, target: Grid) -> Surface:
@@ -254,11 +263,33 @@ def interpolate(u: Surface, target: Grid) -> Surface:
 
     Exact on bilinear functions; the identity (bitwise) when the target
     equals the source grid; rejects targets extending outside the source.
+    Applied axis by axis (time, then space) with gathers.
     """
     if target == u.grid:
         return u
-    mt, my = transfer_matrices(u.grid, target)
-    return Surface(target, mt @ u.values @ my.T)
+    (it, wt), (iy, wy) = transfer_matrices(u.grid, target)
+    rows = wt[:, :1] * u.values[it[:, 0]] + wt[:, 1:] * u.values[it[:, 1]]
+    return Surface(target, rows[:, iy[:, 0]] * wy[:, 0] + rows[:, iy[:, 1]] * wy[:, 1])
+
+
+def interpolate_adjoint(values: np.ndarray, src: Grid, dst: Grid) -> np.ndarray:
+    """Transpose of ``interpolate(., dst)`` on ``src``: maps nodal values on
+    ``dst`` back to ``src``, so that sum(interpolate(u, dst) * g) equals
+    sum(u * interpolate_adjoint(g, src, dst)).  Scatter-adds with the same
+    stencils, space first, then time.
+    """
+    (it, wt), (iy, wy) = transfer_matrices(src, dst)
+    # np.add.at on flat indices: its 1-d fast path, and repeated taps add up
+    cols = np.zeros(dst.nt * src.ny)
+    row_start = np.arange(dst.nt)[:, None] * src.ny
+    for k in (0, 1):
+        np.add.at(cols, (row_start + iy[:, k]).ravel(), (values * wy[:, k]).ravel())
+    cols = cols.reshape(dst.nt, src.ny)
+    out = np.zeros(src.nt * src.ny)
+    col = np.arange(src.ny)
+    for k in (0, 1):
+        np.add.at(out, (it[:, k, None] * src.ny + col).ravel(), (cols * wt[:, k, None]).ravel())
+    return out.reshape(src.shape)
 
 
 def fmt(value) -> str:

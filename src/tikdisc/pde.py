@@ -16,15 +16,26 @@ interior, one tridiagonal system per step.  The left-hand rows must be
 diagonally dominant, which is checked at assembly; a failure means the time
 step is too large for the space step.
 
+Each step's tridiagonal system goes straight to LAPACK ``?gtsv`` (partial
+pivoting), with the three bands sliced from the stencil coefficients of
+that time row; nothing per row is stored beyond the coefficients.
+
 The misfit gradient is the exact gradient of the *discretized* functional
 a -> ||u(a) - data||^2: differentiate the stepping recurrence, transpose it,
-and sweep backwards in time reusing the stored forward states.  Coefficients
-given on a coarser grid than the solver's are prolonged bilinearly before
-the solve and the gradient is restricted back by the transpose of that
-prolongation, so the chain rule stays exact to machine precision.
+and sweep backwards in time reusing the stored forward states.  The adjoint
+step solves the transposed system, i.e. the same bands with lower and upper
+swapped.  Coefficients given on a coarser grid than the solver's are
+prolonged bilinearly before the solve and the gradient is restricted back by
+the transpose of that prolongation, so the chain rule stays exact to machine
+precision.
 
-Solves are single-threaded and deterministic; independent solves share no
-mutable state.
+Solves are single-threaded and deterministic.  ``ParabolicModel`` keeps its
+last forward state in a one-entry memo keyed by the identity of the
+coefficient surface, so a gradient at the point just evaluated does not
+solve forward again.  Surfaces are immutable and the memo holds a reference
+to its key, so an identity match is never stale; the memo is one tuple
+replaced whole, so threads sharing a model can miss it but never take a
+wrong state.
 """
 
 from __future__ import annotations
@@ -32,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
-from .grids import Grid, Surface, constant_surface, interpolate, transfer_matrices
+from .grids import Grid, Surface, constant_surface, interpolate, interpolate_adjoint
 
 __all__ = [
     "PdeParams",
@@ -50,6 +61,8 @@ __all__ = [
 
 U_LEFT = 1.0
 U_RIGHT = 0.0
+
+_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -90,12 +103,12 @@ def initial_condition(y):
 
 
 class CnSystem:
-    """Stencil coefficients and tridiagonal factors for one solve.
+    """Stencil coefficients for one solve.
 
     Holds the mesh ratios eta = dt/dy**2 and am = dt/dy together with the
-    per-node stencil coefficients of C(a); ``lhs_bands`` assembles the banded
-    implicit matrix for one time row.  Assembly verifies strict diagonal
-    dominance of every implicit row.
+    per-node stencil coefficients of C(a): ``cl``, ``cd`` and ``cr`` act on
+    the left, centre and right neighbours, one row per time level.  Assembly
+    verifies strict diagonal dominance of every implicit row.
     """
 
     def __init__(self, a_values: np.ndarray, grid: Grid, b: float):
@@ -127,19 +140,6 @@ class CnSystem:
         out[1:] += self.cr[n][:-1] * v[:-1]
         return out
 
-    def lhs_bands(self, n: int, transpose: bool = False) -> np.ndarray:
-        """Banded form of I - C(a_n) restricted to the interior."""
-        ni = self.cd.shape[1]
-        ab = np.zeros((3, ni))
-        ab[1] = 1.0 - self.cd[n]
-        if transpose:
-            ab[0, 1:] = -self.cl[n][1:]
-            ab[2, :-1] = -self.cr[n][:-1]
-        else:
-            ab[0, 1:] = -self.cr[n][:-1]
-            ab[2, :-1] = -self.cl[n][1:]
-        return ab
-
     def boundary_source(self, n: int) -> tuple:
         """Contributions of the Dirichlet columns to the first/last interior rows."""
         return self.cl[n][0] * U_LEFT, self.cr[n][-1] * U_RIGHT
@@ -149,6 +149,23 @@ class CnSystem:
         second = u_row[2:] - 2.0 * u_row[1:-1] + u_row[:-2]
         first = u_row[2:] - u_row[:-2]
         return 0.5 * self.eta * second - 0.25 * self.am * first
+
+
+def solve_banded(sys: CnSystem, n: int, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve one tridiagonal system (I - C(a_n)) x = rhs on the interior.
+
+    With ``transpose`` the system is (I - C(a_n))^T x = rhs.  ``rhs`` is
+    overwritten and returned as x.
+    """
+    lower = -sys.cl[n, 1:]
+    upper = -sys.cr[n, :-1]
+    if transpose:
+        lower, upper = upper, lower
+    _, _, _, x, info = _GTSV(lower, 1.0 - sys.cd[n], upper, rhs, 1, 1, 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"?gtsv failed on time row {n}: info={info} (singular pivot)")
+    return x
 
 
 def _coefficient_on(a: Surface, grid: Grid) -> np.ndarray:
@@ -174,18 +191,23 @@ def solve_forward(a: Surface, params: PdeParams, grid: Grid) -> Surface:
         src_l, src_r = sys.boundary_source(n)
         rhs[0] += src_l
         rhs[-1] += src_r
-        u[n, 1:-1] = solve_banded((1, 1), sys.lhs_bands(n), rhs, check_finite=False)
+        u[n, 1:-1] = solve_banded(sys, n, rhs)
         u[n, 0] = U_LEFT
         u[n, -1] = U_RIGHT
     return Surface(grid, u)
 
 
 def _misfit_gradient_values(a: Surface, target: Surface, params: PdeParams,
-                            grid: Grid, p: float) -> np.ndarray:
-    """Euclidean-to-L2 gradient of ||u(a) - target||^p on a's own grid."""
+                            grid: Grid, p: float, u: "Surface | None" = None) -> np.ndarray:
+    """Euclidean-to-L2 gradient of ||u(a) - target||^p on a's own grid.
+
+    ``u`` is the forward state u(a) when the caller already has it.
+    """
     a_vals = _coefficient_on(a, grid)
     sys = CnSystem(a_vals, grid, params.b)
-    u = solve_forward(a, params, grid).values
+    if u is None:
+        u = solve_forward(a, params, grid)
+    u = u.values
     w = grid.cell_weights()
     residual = u - target.values
     source = 2.0 * w * residual
@@ -196,7 +218,7 @@ def _misfit_gradient_values(a: Surface, target: Surface, params: PdeParams,
     mu_next = np.zeros(ni)
     for n in range(nt - 1, 0, -1):
         rhs = sys.apply_c_transpose(n, mu_next) + mu_next - source[n, 1:-1]
-        mu = solve_banded((1, 1), sys.lhs_bands(n, transpose=True), rhs, check_finite=False)
+        mu = solve_banded(sys, n, rhs, transpose=True)
         grad[n, 1:-1] = -(mu + mu_next) * sys.coefficient_sensitivity(u[n])
         mu_next = mu
     grad[0, 1:-1] = -mu_next * sys.coefficient_sensitivity(u[0])
@@ -208,8 +230,7 @@ def _misfit_gradient_values(a: Surface, target: Surface, params: PdeParams,
         grad *= 0.5 * p * rnorm ** (p - 2.0)
 
     if a.grid != grid:
-        mt, my = transfer_matrices(a.grid, grid)
-        grad = mt.T @ grad @ my
+        grad = interpolate_adjoint(grad, a.grid, grid)
     return grad / a.grid.cell_weights()
 
 
@@ -231,8 +252,10 @@ class ParabolicModel:
     """Forward model a -> u(a) - u(a0) on a fixed solver grid.
 
     The base solution u(a0) is computed once; ``apply`` accepts coefficients
-    on the solver grid or any coarser grid inside the domain.  Deterministic:
-    equal inputs give bitwise-equal output.
+    on the solver grid or any coarser grid inside the domain.  ``solve``
+    memoizes the last forward state by the coefficient's identity, which
+    ``apply`` and ``misfit_gradient`` share.  Deterministic: equal inputs
+    give bitwise-equal output.
     """
 
     def __init__(self, params: PdeParams, grid: Grid):
@@ -242,12 +265,17 @@ class ParabolicModel:
         self.name = "parabolic-diffusion"
         a0 = params.a0 if isinstance(params.a0, Surface) else constant_surface(grid, params.a0)
         self._base = solve_forward(a0, params, grid)
+        self._last = (None, None)
 
     def base_solution(self) -> Surface:
         return self._base
 
     def solve(self, a: Surface) -> Surface:
-        return solve_forward(a, self.params, self.grid)
+        last_a, u = self._last
+        if a is not last_a:
+            u = solve_forward(a, self.params, self.grid)
+            self._last = (a, u)
+        return u
 
     def apply(self, a: Surface) -> Surface:
         return self.solve(a) - self._base
@@ -260,4 +288,5 @@ class ParabolicModel:
 
     def misfit_gradient(self, a: Surface, ydelta: Surface, p: float = 2.0) -> Surface:
         target = ydelta + self._base
-        return Surface(a.grid, _misfit_gradient_values(a, target, self.params, self.grid, p))
+        return Surface(a.grid, _misfit_gradient_values(a, target, self.params, self.grid, p,
+                                                       self.solve(a)))

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tikdisc.grids import (Grid, Surface, clamp, constant_surface, inner, interpolate,
-                           load_surface, norm, save_surface, vector)
+                           interpolate_adjoint, load_surface, norm, save_surface,
+                           transfer_matrices, vector)
 
 
 def test_grid_extent_consistency():
@@ -103,6 +104,27 @@ def test_interpolate_rejects_larger_target():
     dst = Grid.from_counts(5, 5, t_span=(0.0, 1.0))
     with pytest.raises(ValueError, match="outside"):
         interpolate(Surface(src, np.zeros(src.shape)), dst)
+
+
+@pytest.mark.parametrize("src", [Grid.from_counts(11, 41), Grid.from_counts(101, 201)],
+                         ids=["coarse-to-solver", "fine-to-solver"])
+def test_interpolate_adjoint_is_transpose(src):
+    dst = Grid.from_steps(0.02, 0.1)
+    assert dst.shape == (51, 101)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(src.shape)
+    g = rng.standard_normal(dst.shape)
+    lhs = np.sum(interpolate(Surface(src, u), dst).values * g)
+    rhs = np.sum(u * interpolate_adjoint(g, src, dst))
+    assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
+
+
+def test_transfer_matrices_memoized_per_grid_pair():
+    first = transfer_matrices(Grid.from_counts(11, 41), Grid.from_steps(0.02, 0.1))
+    again = transfer_matrices(Grid.from_counts(11, 41), Grid.from_steps(0.02, 0.1))
+    assert again is first
+    for index, weight in first:
+        assert not index.flags.writeable and not weight.flags.writeable
 
 
 def test_surface_io_roundtrip_bitwise(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from tikdisc.grids import Grid, Surface, constant_surface, inner, interpolate, norm
 from tikdisc.pde import (CnSystem, ParabolicModel, PdeParams, forward_operator,
-                         initial_condition, misfit_gradient, solve_forward,
+                         initial_condition, misfit_gradient, solve_banded, solve_forward,
                          true_coefficient, true_sigma)
 from tikdisc.penalties import Penalty
 from tikdisc.synthdata import generate_data
@@ -180,6 +180,24 @@ class TestAdjointGradient:
         g_model = model.misfit_gradient(a, ydelta)
         assert np.allclose(g_op.values, g_model.values, atol=1e-15)
 
+    def test_memo_serves_no_stale_state(self):
+        _, model, ydelta, a1, _ = self._setup()
+        a2 = Surface(self.GRID, a1.values * 1.1)
+        model.apply(a1)
+        f2 = model.apply(a2)
+        g = model.misfit_gradient(a1, ydelta)
+        fresh = ParabolicModel(PARAMS, self.GRID)
+        assert np.array_equal(f2.values, fresh.apply(a2).values)
+        assert np.array_equal(g.values, fresh.misfit_gradient(a1, ydelta).values)
+
+    def test_gradient_after_apply_reuses_state_bitwise(self):
+        _, model, ydelta, a, _ = self._setup()
+        cold = model.misfit_gradient(a, ydelta)
+        other = ParabolicModel(PARAMS, self.GRID)
+        other.apply(a)
+        warm = other.misfit_gradient(a, ydelta)
+        assert np.array_equal(warm.values, cold.values)
+
     def test_p_variant_scaling(self):
         rng, model, ydelta, a, _ = self._setup()
         g2 = model.misfit_gradient(a, ydelta, p=2.0)
@@ -188,20 +206,45 @@ class TestAdjointGradient:
         assert np.allclose(g4.values, 2.0 * r ** 2 * g2.values, rtol=1e-12)
 
 
+def _dense_c(sys, n):
+    """Interior block of C(a_n), column by column from ``apply_c``."""
+    ni = sys.cd.shape[1]
+    dense = np.zeros((ni, ni))
+    for j in range(ni):
+        e = np.zeros(ni + 2)
+        e[j + 1] = 1.0
+        dense[:, j] = sys.apply_c(n, e)
+    return dense
+
+
 def test_cn_transpose_matches_dense():
     grid = Grid.from_counts(4, 7)
     rng = np.random.default_rng(1)
-    a_vals = rng.uniform(0.01, 0.9, grid.shape)
-    sys = CnSystem(a_vals, grid, b=0.03)
-    ni = grid.ny - 2
+    sys = CnSystem(rng.uniform(0.01, 0.9, grid.shape), grid, b=0.03)
     n = 2
-    dense = np.zeros((ni, ni))
-    for j in range(ni):
-        e = np.zeros(grid.ny)
-        e[j + 1] = 1.0
-        dense[:, j] = sys.apply_c(n, e)
-    v = rng.standard_normal(ni)
-    assert np.allclose(sys.apply_c_transpose(n, v.copy()), dense.T @ v, atol=1e-14)
+    v = rng.standard_normal(grid.ny - 2)
+    assert np.allclose(sys.apply_c_transpose(n, v.copy()), _dense_c(sys, n).T @ v, atol=1e-14)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_step_solve_matches_dense(transpose):
+    grid = Grid.from_counts(5, 12)
+    rng = np.random.default_rng(4)
+    sys = CnSystem(rng.uniform(0.01, 0.9, grid.shape), grid, b=0.03)
+    rhs = rng.standard_normal(grid.ny - 2)
+    for n in range(grid.nt):
+        lhs = np.eye(grid.ny - 2) - _dense_c(sys, n)
+        expected = np.linalg.solve(lhs.T if transpose else lhs, rhs)
+        x = solve_banded(sys, n, rhs.copy(), transpose=transpose)
+        assert np.allclose(x, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_step_solve_raises_on_singular_row():
+    grid = Grid.from_counts(3, 6)
+    sys = CnSystem(np.zeros(grid.shape), grid, b=0.0)
+    sys.cd[1] = 1.0  # diagonal of I - C(a_1) becomes zero
+    with pytest.raises(np.linalg.LinAlgError, match="row 1"):
+        solve_banded(sys, 1, np.ones(grid.ny - 2))
 
 
 def test_pde_params_validation():
