@@ -157,7 +157,7 @@ def value_I(model, ydelta, penalty: Penalty, solution: RegularizedSolution,
     return lval ** p + alpha * penalty_H(penalty, solution)
 
 
-def _default_minimize(wolfe, stop, warm_start):
+def _default_minimize(wolfe, stop):
     wolfe = wolfe or WolfeParams()
     stop = stop or StopRule(rel_residual_tol=1e-12, max_iters=2000)
 
@@ -186,7 +186,7 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
         raise ValueError("delta and gamma_m must be non-negative")
     target_lo = band.tau1 * (delta + gamma_m)
     target_hi = band.tau2 * (delta + gamma_m)
-    run = minimize_fn or _default_minimize(wolfe, stop, warm_start)
+    run = minimize_fn or _default_minimize(wolfe, stop)
 
     prior = project(ladder, level, penalty.x0)
     prior_residual = norm(model.apply(prior) - ydelta)
@@ -367,7 +367,7 @@ def sequential_discrepancy(model, ydelta, ladder: Ladder, level: int, tau_tilde:
         raise ValueError("tau_tilde must exceed 1")
     if not alpha0 > 0.0 or not 0.0 < q < 1.0:
         raise ValueError("need alpha0 > 0 and 0 < q < 1")
-    run = minimize_fn or _default_minimize(wolfe, stop, warm_start)
+    run = minimize_fn or _default_minimize(wolfe, stop)
     threshold = tau_tilde * delta
     trace = []
     prev_residual = None

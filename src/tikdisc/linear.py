@@ -12,6 +12,15 @@ import numpy as np
 
 __all__ = ["LinearModel", "closed_form_minimizer", "closed_form_solution", "make_ladder_model"]
 
+_FLOAT = np.dtype(float)
+
+
+def _as_float(x) -> np.ndarray:
+    """``np.asarray(x, dtype=float)``, skipped when x already is a float ndarray."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT:
+        return x
+    return np.asarray(x, dtype=float)
+
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -43,10 +52,10 @@ class LinearModel:
         return self.matrix.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
+        return self.matrix @ _as_float(x)
 
     def misfit_gradient(self, x, ydelta, p: float = 2.0) -> np.ndarray:
-        r = self.matrix @ np.asarray(x, dtype=float) - np.asarray(ydelta, dtype=float)
+        r = self.matrix @ _as_float(x) - _as_float(ydelta)
         grad2 = 2.0 * (self.matrix.T @ r)
         if p == 2.0:
             return grad2

@@ -12,17 +12,27 @@ cheap spectral step guess; the Wolfe conditions then accept or correct it.
 
 Runs are deterministic: identical inputs produce bitwise-identical output.
 Independent runs share no state and may execute concurrently.
+
+Validation happens once per run, before the first model evaluation: the
+start point is checked against the model's box and, when a penalty is
+given, against the penalty's space (``Surface`` or vector, grid or shape).
+The inner product and the residual norm are picked once per run by the
+types of the start point and the data, so the loop does no per-call type
+dispatch.  The model's ``apply``/``misfit_gradient`` and the penalty's
+``penalty_value``/``penalty_subgradient`` are still called on every
+evaluation; they keep their own checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Surface, clamp, inner, norm
 from .ladder import project
-from .penalties import penalty_value
+from .penalties import _check_space, penalty_subgradient, penalty_value
 from .tikhonov import TikhonovConfig, check_domain
 
 __all__ = [
@@ -36,6 +46,8 @@ __all__ = [
 ]
 
 STOP_REASONS = ("band-hit", "max-iters", "stalled", "gradient-zero")
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -194,7 +206,7 @@ def _gradient_restriction(ladder, level):
 
     Coordinate ladders zero the tail of the gradient so iterates stay inside
     the subspace; on grid ladders the models already return gradients on the
-    level's own grid, so nothing is needed.
+    level's own grid, so nothing is needed and ``None`` is returned.
     """
     if ladder is not None and ladder.rule == "coordinate":
         m = ladder.levels[level]
@@ -206,13 +218,23 @@ def _gradient_restriction(ladder, level):
             return arr
 
         return restrict
-    return lambda grad: grad
+    return None
 
 
 def _same_element(a, b) -> bool:
     if isinstance(a, Surface):
         return np.array_equal(a.values, b.values)
     return np.array_equal(a, b)
+
+
+def _vector_inner(a, b) -> float:
+    # grids.inner on float vectors, without its type dispatch
+    return float(a @ b)
+
+
+def _vector_norm(r) -> float:
+    # grids.norm on float vectors, without its type dispatch
+    return math.sqrt(r @ r)
 
 
 def _projected_backtrack(x, direction, fval, proj, full_eval, t_init,
@@ -291,76 +313,82 @@ def _descend(model, ydelta, penalty, alpha, p, ladder, level, wolfe, stop, x_sta
         x_start = penalty.x0
     x = proj(x_start)
     check_domain(model, x)
+    if penalty is not None:
+        _check_space(penalty, x)
+    regularized = penalty is not None and alpha != 0.0
+    dot = inner if isinstance(x, Surface) else _vector_inner
+    res_norm = norm if isinstance(ydelta, Surface) else _vector_norm
 
     box = getattr(model, "bounds", None)
     if box is None and ladder is not None:
         box = ladder.bounds
 
-    def feasible(z):
-        if box is None:
-            return True
-        arr = z.values if isinstance(z, Surface) else z
-        return arr.min() >= box[0] and arr.max() <= box[1]
-
     def full_eval(z):
         # extended-value convention: +inf outside the feasible box, so the
         # line search backtracks into the domain instead of solving there
-        if not feasible(z):
-            return np.inf, np.inf, np.inf
-        res = norm(model.apply(z) - ydelta)
-        pen = penalty_value(penalty, z) if (penalty is not None and alpha != 0.0) else 0.0
+        if box is not None:
+            arr = z.values if isinstance(z, Surface) else z
+            if not (arr.min() >= box[0] and arr.max() <= box[1]):
+                return np.inf, np.inf, np.inf
+        res = res_norm(model.apply(z) - ydelta)
+        pen = penalty_value(penalty, z) if regularized else 0.0
         return res ** p + alpha * pen, res, pen
 
     def gradient(z):
         grad = model.misfit_gradient(z, ydelta, p)
-        if penalty is not None and alpha != 0.0:
-            from .penalties import penalty_subgradient
-
+        if regularized:
             grad = grad + alpha * penalty_subgradient(penalty, z)
-        return restrict(grad)
+        return grad if restrict is None else restrict(grad)
+
+    # The restricted functional along the current ray: phi and dphi read the
+    # loop's x, direction, fval and gsq, and share one trial cache that is
+    # cleared at the start of every iteration.
+    cache = {}
+
+    def phi(t):
+        if t == 0.0:
+            return fval
+        z = x + t * direction
+        val = full_eval(z)
+        cache[t] = (z, val, None)
+        return val[0]
+
+    def dphi(t):
+        if t == 0.0:
+            return -gsq
+        z, val, _ = cache.get(t) or (x + t * direction, None, None)
+        if val is None:
+            val = full_eval(z)
+        g_z = gradient(z)
+        cache[t] = (z, val, g_z)
+        return dot(g_z, direction)
 
     fval, res, pen = full_eval(x)
-    if not np.isfinite(fval):
+    if not math.isfinite(fval):
         raise ValueError(f"non-finite functional value {fval} at the start point")
     grad = gradient(x)
-    gsq = inner(grad, grad)
+    gsq = dot(grad, grad)
     prev_gsq = None
     iterations = 0
     stalls = 0
     band = stop.discrepancy_band
+    grad_norm_tol = stop.grad_norm_tol
+    max_iters = stop.max_iters
+    rel_residual_tol = stop.rel_residual_tol
 
     while True:
         if band is not None and band[0] <= res <= band[1]:
             reason = "band-hit"
             break
-        if np.sqrt(gsq) <= stop.grad_norm_tol:
+        if math.sqrt(gsq) <= grad_norm_tol:
             reason = "gradient-zero"
             break
-        if iterations >= stop.max_iters:
+        if iterations >= max_iters:
             reason = "max-iters"
             break
 
         direction = -1.0 * grad
-        cache = {}
-
-        def phi(t):
-            if t == 0.0:
-                return fval
-            z = x + t * direction
-            val = full_eval(z)
-            cache[t] = (z, val, None)
-            return val[0]
-
-        def dphi(t):
-            if t == 0.0:
-                return -gsq
-            z, val, _ = cache.get(t) or (x + t * direction, None, None)
-            if val is None:
-                val = full_eval(z)
-            g_z = gradient(z)
-            cache[t] = (z, val, g_z)
-            return inner(g_z, direction)
-
+        cache.clear()
         t0 = initial_step(prev_gsq, gsq)
         t = wolfe_line_search(phi, dphi, wolfe, t0)
         if t is None:
@@ -369,7 +397,7 @@ def _descend(model, ydelta, penalty, alpha, p, ladder, level, wolfe, stop, x_sta
         if t is not None:
             z, val, g_z = cache[t]
             x_new = proj(z)
-            if not _same_element(x_new, z):
+            if x_new is not z and not _same_element(x_new, z):
                 val, g_z = full_eval(x_new), None
         else:
             # Wolfe bracket exhausted twice: clamped iterates can make the
@@ -387,7 +415,7 @@ def _descend(model, ydelta, penalty, alpha, p, ladder, level, wolfe, stop, x_sta
             if landed is not None and landed[1][0] <= fval + 1e-12 * (1.0 + abs(fval)):
                 x_new, val, g_z = landed[0], landed[1], None
         fnew, res_new, pen_new = val
-        if not np.isfinite(fnew):
+        if not math.isfinite(fnew):
             arr = x_new.values if isinstance(x_new, Surface) else np.asarray(x_new)
             raise ValueError(
                 f"non-finite functional value {fnew} at iteration {iterations + 1}; "
@@ -403,17 +431,17 @@ def _descend(model, ydelta, penalty, alpha, p, ladder, level, wolfe, stop, x_sta
 
         iterations += 1
         stalls = 0
-        rel_change = abs(res_new - res) / max(res, np.finfo(float).tiny)
+        rel_change = abs(res_new - res) / max(res, _TINY)
         x, fval, res, pen = x_new, fnew, res_new, pen_new
         if band is not None and band[0] <= res <= band[1]:
             reason = "band-hit"
             break
-        if rel_change < stop.rel_residual_tol:
+        if rel_change < rel_residual_tol:
             reason = "stalled"
             break
         prev_gsq = gsq
         grad = g_z if g_z is not None else gradient(x)
-        gsq = inner(grad, grad)
+        gsq = dot(grad, grad)
 
     if penalty is not None and alpha == 0.0:
         pen = penalty_value(penalty, x)

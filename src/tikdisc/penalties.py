@@ -19,6 +19,7 @@ value(x + h) - value(x) ~ inner(subgradient, h).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,10 @@ def penalty_value(penalty: Penalty, x) -> float:
     """f_x0(x); non-negative, zero exactly when x equals the prior."""
     _check_space(penalty, x)
     if penalty.kind == "quadratic":
-        return norm(x - penalty.x0) ** 2
+        d = x - penalty.x0
+        if isinstance(d, Surface):
+            return norm(d) ** 2
+        return math.sqrt(d @ d) ** 2  # grids.norm of the float vector d
 
     if penalty.kind == "weighted-h1":
         d = x - penalty.x0
@@ -149,15 +153,18 @@ def penalty_subgradient(penalty: Penalty, x):
 
 
 def _check_space(penalty: Penalty, x) -> None:
-    if isinstance(penalty.x0, Surface):
+    x0 = penalty.x0
+    if isinstance(x0, Surface):
         if not isinstance(x, Surface):
             raise ValueError("penalty prior is a Surface but x is not")
-        if x.grid != penalty.x0.grid:
+        if x.grid is not x0.grid and x.grid != x0.grid:
             raise ValueError("x and the penalty prior live on different grids")
+    elif isinstance(x, Surface):
+        raise ValueError("penalty prior is a vector but x is a Surface")
     else:
-        if isinstance(x, Surface):
-            raise ValueError("penalty prior is a vector but x is a Surface")
-        if np.shape(x) != np.shape(penalty.x0):
-            raise ValueError(f"x shape {np.shape(x)} does not match prior {np.shape(penalty.x0)}")
+        # a vector prior is always a float ndarray (see Penalty.__post_init__)
+        shape = x.shape if isinstance(x, np.ndarray) else np.shape(x)
+        if shape != x0.shape:
+            raise ValueError(f"x shape {shape} does not match prior {x0.shape}")
         if penalty.kind == "weighted-h1":
             raise ValueError("weighted-h1 penalty is defined for surfaces only")

@@ -31,7 +31,6 @@ from .pde import PdeParams, solve_forward
 __all__ = [
     "NoisyDataset",
     "generate_data",
-    "interpolate",
     "simpson_2d",
     "simpson_axis_weights",
     "estimate_noise_level",

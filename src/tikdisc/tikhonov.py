@@ -2,7 +2,8 @@
 
 A forward model is any object with
 
-* ``apply(x)``                        -- data-space image, deterministic;
+* ``apply(x)``                        -- data-space image, deterministic: a
+                                         float ndarray, or a ``Surface``;
 * ``misfit_gradient(x, ydelta, p)``   -- gradient of ||apply(x) - ydelta||^p
                                          in the space of x;
 * ``bounds``                          -- optional (lo, hi) box for x;
@@ -15,23 +16,13 @@ they then own the prolongation and keep the gradient chain-rule exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .grids import Surface, norm
 from .penalties import Penalty, penalty_subgradient, penalty_value
 
-__all__ = ["ForwardModel", "TikhonovConfig", "tikhonov_value", "tikhonov_gradient", "check_domain"]
-
-
-class ForwardModel(Protocol):
-    name: str
-    bounds: "tuple | None"
-
-    def apply(self, x): ...
-
-    def misfit_gradient(self, x, ydelta, p: float = 2.0): ...
+__all__ = ["TikhonovConfig", "tikhonov_value", "tikhonov_gradient", "check_domain"]
 
 
 @dataclass(frozen=True)

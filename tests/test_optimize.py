@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tikdisc.grids import Grid, constant_surface
 from tikdisc.linear import LinearModel, closed_form_minimizer, make_ladder_model
 from tikdisc.optimize import (StopRule, WolfeParams, initial_step, minimize_misfit,
                               minimize_tikhonov, wolfe_line_search)
@@ -190,3 +191,36 @@ def test_stop_rule_validation():
         StopRule(rel_residual_tol=0.0)
     with pytest.raises(ValueError):
         StopRule(discrepancy_band=(2.0, 1.0))
+
+
+class CountingModel:
+    """Identity-like vector model that counts its applies."""
+
+    name = "counting"
+    bounds = None
+
+    def __init__(self):
+        self.applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return IDENTITY.apply(x)
+
+    def misfit_gradient(self, x, ydelta, p=2.0):
+        return IDENTITY.misfit_gradient(x, ydelta, p)
+
+
+SURFACE = constant_surface(Grid.from_counts(3, 4), 0.1)
+
+
+@pytest.mark.parametrize("prior, x_start, message", [
+    (np.zeros(3), np.zeros(2), r"^x shape \(2,\) does not match prior \(3,\)$"),
+    (SURFACE, np.zeros(2), "^penalty prior is a Surface but x is not$"),
+    (np.zeros(2), SURFACE, "^penalty prior is a vector but x is a Surface$"),
+])
+def test_penalty_space_checked_before_any_apply(prior, x_start, message):
+    model = CountingModel()
+    cfg = TikhonovConfig(alpha=1.0, penalty=Penalty("quadratic", prior))
+    with pytest.raises(ValueError, match=message):
+        minimize_tikhonov(model, YDELTA, cfg, x_start=x_start)
+    assert model.applies == 0
