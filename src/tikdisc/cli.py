@@ -35,7 +35,7 @@ from .expconfig import ConfigError, ExperimentConfig, load_config, resolve_alpha
 from .grids import Grid, constant_surface, fmt, norm, save_surface
 from .ladder import Ladder, gamma_m
 from .linear import LinearModel, closed_form_minimizer, make_ladder_model
-from .optimize import StopRule, WolfeParams, minimize_misfit, minimize_tikhonov
+from .optimize import StopRule, minimize_misfit, minimize_tikhonov
 from .pde import ParabolicModel, PdeParams, true_coefficient
 from .penalties import Penalty
 from .synthdata import generate_data
@@ -132,17 +132,14 @@ def _sweep_cell(payload):
                   beta2=pen_vals["beta2_per_dy"] * mesh.dy,
                   beta3=pen_vals["beta3_per_dtau"] * mesh.dt)
     ladder = Ladder.free_grids((mesh,), bounds=(pde_vals["a_min"], pde_vals["a_max"]))
-    wolfe = WolfeParams(c1=opt_vals["c1"], c2=opt_vals["c2"],
-                        max_bracket_steps=opt_vals["max_bracket_steps"])
     stop = StopRule(discrepancy_band=(band_lo, band_hi),
                     max_iters=opt_vals["max_iters"],
                     rel_residual_tol=opt_vals["rel_residual_tol"])
     if alpha > 0.0:
         sol = minimize_tikhonov(model, ydelta, TikhonovConfig(alpha=alpha, penalty=pen),
-                                ladder=ladder, level=0, wolfe=wolfe, stop=stop)
+                                ladder=ladder, level=0, stop=stop)
     else:
-        sol = minimize_misfit(model, ydelta, ladder=ladder, level=0, wolfe=wolfe,
-                              stop=stop, penalty=pen)
+        sol = minimize_misfit(model, ydelta, ladder=ladder, level=0, stop=stop, penalty=pen)
     return mesh_idx, alpha_idx, sol
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 from .grids import norm
 from .ladder import Ladder, project
-from .optimize import RegularizedSolution, StopRule, WolfeParams, minimize_tikhonov
-from .penalties import Penalty, penalty_value
+from .optimize import RegularizedSolution, StopRule, minimize_tikhonov
+from .penalties import Penalty
 from .tikhonov import TikhonovConfig
 
 __all__ = [
@@ -35,10 +35,6 @@ __all__ = [
     "SearchExhaustedError",
     "LevelSelectionError",
     "check_band",
-    "in_h_set",
-    "residual_L",
-    "penalty_H",
-    "value_I",
     "morozov_alpha_search",
     "select_level",
     "joint_discrepancy_search",
@@ -50,29 +46,23 @@ __all__ = [
 class DiscrepancyBand:
     """Residual band multipliers 1 < tau <= tau1 <= tau2 < lam.
 
-    tau1 defaults to tau, tau2 to the midpoint of tau1 and lam, and the
-    diagnostic margin epsilon to (tau - 1) / 2.
+    tau1 defaults to tau and tau2 to the midpoint of tau1 and lam.
     """
 
     tau: float
     lam: float
     tau1: "float | None" = None
     tau2: "float | None" = None
-    epsilon: "float | None" = None
 
     def __post_init__(self):
         if self.tau1 is None:
             object.__setattr__(self, "tau1", self.tau)
         if self.tau2 is None:
             object.__setattr__(self, "tau2", 0.5 * (self.tau1 + self.lam))
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", 0.5 * (self.tau - 1.0))
         if not (1.0 < self.tau <= self.tau1 <= self.tau2 < self.lam):
             raise ValueError(
                 f"need 1 < tau <= tau1 <= tau2 < lambda, got "
                 f"tau={self.tau}, tau1={self.tau1}, tau2={self.tau2}, lambda={self.lam}")
-        if not (0.0 < self.epsilon < self.tau - 1.0):
-            raise ValueError(f"need 0 < epsilon < tau - 1, got epsilon={self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -133,37 +123,12 @@ def check_band(residual: float, delta: float, band: DiscrepancyBand) -> bool:
     return band.tau * delta <= residual <= band.lam * delta
 
 
-def in_h_set(residual: float, delta: float, band: DiscrepancyBand) -> bool:
-    """Membership test residual < (tau - epsilon) * delta (diagnostic only)."""
-    return residual < (band.tau - band.epsilon) * delta
-
-
-def residual_L(model, ydelta, solution: RegularizedSolution) -> float:
-    """||F(x) - ydelta|| recomputed from the solution's x."""
-    return norm(model.apply(solution.x) - ydelta)
-
-
-def penalty_H(penalty: Penalty, solution: RegularizedSolution) -> float:
-    """Penalty value at the solution's x."""
-    return penalty_value(penalty, solution.x)
-
-
-def value_I(model, ydelta, penalty: Penalty, solution: RegularizedSolution,
-            alpha: float, p: float = 2.0) -> float:
-    """L**p + alpha * H; alpha = 0 is admissible for evaluation."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative for evaluation")
-    lval = residual_L(model, ydelta, solution)
-    return lval ** p + alpha * penalty_H(penalty, solution)
-
-
-def _default_minimize(wolfe, stop):
-    wolfe = wolfe or WolfeParams()
+def _default_minimize(stop):
     stop = stop or StopRule(rel_residual_tol=1e-12, max_iters=2000)
 
     def run(model, ydelta, cfg, ladder, level, x_start=None):
         return minimize_tikhonov(model, ydelta, cfg, ladder=ladder, level=level,
-                                 wolfe=wolfe, stop=stop, x_start=x_start)
+                                 stop=stop, x_start=x_start)
 
     return run
 
@@ -171,7 +136,7 @@ def _default_minimize(wolfe, stop):
 def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: DiscrepancyBand,
                          delta: float, *, penalty: Penalty, gamma_m: float = 0.0,
                          alpha_bracket=(1e-4, 1.0), tol: float = 1e-3, p: float = 2.0,
-                         wolfe=None, stop=None, minimize_fn=None, warm_start=True,
+                         stop=None, minimize_fn=None,
                          max_expansions: int = 60) -> MorozovResult:
     """Bisection on log(alpha) targeting the per-level residual band.
 
@@ -180,13 +145,17 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
     factors of 10 before bisecting; ``tol`` bounds the final log10 bracket
     width.  Budget exhaustion without a band hit reports ``exhausted`` with
     the closest achieved residual; a collapsed bracket whose residuals
-    straddle the whole band signals a residual jump.
+    straddle the whole band signals a residual jump.  Each minimization
+    starts from the previous one's result.
     """
     if delta < 0.0 or gamma_m < 0.0:
         raise ValueError("delta and gamma_m must be non-negative")
+    lo, hi = (float(a) for a in alpha_bracket)
+    if not 0.0 < lo <= hi:
+        raise ValueError(f"bad alpha bracket {alpha_bracket}")
     target_lo = band.tau1 * (delta + gamma_m)
     target_hi = band.tau2 * (delta + gamma_m)
-    run = minimize_fn or _default_minimize(wolfe, stop)
+    run = minimize_fn or _default_minimize(stop)
 
     prior = project(ladder, level, penalty.x0)
     prior_residual = norm(model.apply(prior) - ydelta)
@@ -206,10 +175,8 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
         if alpha in cache:
             return cache[alpha]
         cfg = TikhonovConfig(alpha=alpha, penalty=penalty, p=p)
-        sol = run(model, ydelta, cfg, ladder, level,
-                  x_start=state["x"] if warm_start else None)
-        if warm_start:
-            state["x"] = sol.x
+        sol = run(model, ydelta, cfg, ladder, level, x_start=state["x"])
+        state["x"] = sol.x
         count += 1
         cache[alpha] = sol
         return sol
@@ -218,10 +185,6 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
         return MorozovResult(level=level, alpha=alpha, solution=sol, gamma_m=gamma_m,
                              band=(target_lo, target_hi), status=status, detail=detail,
                              minimizations=count)
-
-    lo, hi = (float(a) for a in alpha_bracket)
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"bad alpha bracket {alpha_bracket}")
 
     sol = residual_at(lo)
     if target_lo <= sol.residual <= target_hi:
@@ -264,6 +227,8 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
     track(hi, cache[hi])
     while math.log10(hi / lo) > tol:
         mid = math.sqrt(lo * hi)
+        if mid == lo or mid == hi:  # bracket collapsed to float resolution
+            break
         sol = residual_at(mid)
         if target_lo <= sol.residual <= target_hi:
             return result(mid, sol, "in-band")
@@ -308,8 +273,8 @@ def _level_order(n: int, order: str):
 def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBand,
                              delta: float, tol: float = 1e-3, *, penalty: Penalty,
                              gammas=None, order: str = "coarse-to-fine", p: float = 2.0,
-                             alpha_bracket=(1e-4, 1.0), wolfe=None, stop=None,
-                             minimize_fn=None, warm_start=True) -> MorozovResult:
+                             alpha_bracket=(1e-4, 1.0), stop=None,
+                             minimize_fn=None) -> MorozovResult:
     """Joint (level, alpha) selection by the relaxed discrepancy principle.
 
     Levels are scanned in the configured order; levels whose known image gap
@@ -330,8 +295,7 @@ def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBan
             continue
         res = morozov_alpha_search(model, ydelta, ladder, idx, band, delta,
                                    penalty=penalty, gamma_m=gamma, alpha_bracket=alpha_bracket,
-                                   tol=tol, p=p, wolfe=wolfe, stop=stop,
-                                   minimize_fn=minimize_fn, warm_start=warm_start)
+                                   tol=tol, p=p, stop=stop, minimize_fn=minimize_fn)
         if res.status == "in-band" and check_band(res.solution.residual, delta, band):
             return res
         notes.append(f"level {idx}: {res.status}"
@@ -354,8 +318,8 @@ def _band_gap(res: MorozovResult, delta: float, band: DiscrepancyBand) -> float:
 
 def sequential_discrepancy(model, ydelta, ladder: Ladder, level: int, tau_tilde: float,
                            alpha0: float, q: float, kmax: int, delta: float, *,
-                           penalty: Penalty, p: float = 2.0, wolfe=None, stop=None,
-                           minimize_fn=None, warm_start=True) -> SequentialResult:
+                           penalty: Penalty, p: float = 2.0, stop=None,
+                           minimize_fn=None) -> SequentialResult:
     """Geometric alpha sweep alpha_k = q**k * alpha0 stopped at the band edge.
 
     Returns the smallest k with residual(alpha_k) <= tau_tilde * delta; for
@@ -367,7 +331,7 @@ def sequential_discrepancy(model, ydelta, ladder: Ladder, level: int, tau_tilde:
         raise ValueError("tau_tilde must exceed 1")
     if not alpha0 > 0.0 or not 0.0 < q < 1.0:
         raise ValueError("need alpha0 > 0 and 0 < q < 1")
-    run = minimize_fn or _default_minimize(wolfe, stop)
+    run = minimize_fn or _default_minimize(stop)
     threshold = tau_tilde * delta
     trace = []
     prev_residual = None
@@ -376,8 +340,7 @@ def sequential_discrepancy(model, ydelta, ladder: Ladder, level: int, tau_tilde:
         alpha = (q ** k) * alpha0
         cfg = TikhonovConfig(alpha=alpha, penalty=penalty, p=p)
         sol = run(model, ydelta, cfg, ladder, level, x_start=x_start)
-        if warm_start:
-            x_start = sol.x
+        x_start = sol.x
         trace.append((k, alpha, sol.residual))
         if sol.residual <= threshold:
             return SequentialResult(k=k, alpha=alpha, solution=sol,

@@ -125,9 +125,6 @@ _SCHEMAS = {
         "optimize": {
             "max_iters": (int, 500),
             "rel_residual_tol": (float, 1e-4),
-            "c1": (float, 1e-8),
-            "c2": (float, 0.95),
-            "max_bracket_steps": (int, 50),
         },
     },
     "linear-oracle": {
@@ -261,8 +258,17 @@ def _validate_semantics(cfg: ExperimentConfig, source: str) -> None:
                               f"({len(meshes[0])} vs {len(meshes[1])})")
         if not 0.0 < cfg.get("pde", "a_min") <= cfg.get("pde", "a_max"):
             raise ConfigError(f"{source}: need 0 < a_min <= a_max")
+        if not cfg.get("pde", "a_min") <= cfg.get("pde", "a0") <= cfg.get("pde", "a_max"):
+            raise ConfigError(f"{source}: [pde] a0 must lie in [a_min, a_max]")
+        if cfg.get("noise", "std") < 0.0:
+            raise ConfigError(f"{source}: [noise] std must be non-negative")
         if any(isinstance(a, float) and a < 0.0 for a in cfg.get("alphas", "values")):
             raise ConfigError(f"{source}: alpha values must be non-negative")
+    if cfg.kind == "linear-oracle":
+        if cfg.get("oracle", "n_max") < 2:
+            raise ConfigError(f"{source}: [oracle] n_max must be >= 2")
+        if not 0.0 < cfg.get("oracle", "alpha_min") <= cfg.get("oracle", "alpha_max"):
+            raise ConfigError(f"{source}: [oracle] need 0 < alpha_min <= alpha_max")
     if cfg.kind == "rate-study":
         if len(cfg.get("rates", "deltas")) < 3:
             raise ConfigError(f"{source}: a rate study needs at least 3 noise levels")

@@ -15,7 +15,7 @@ with the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,26 +28,30 @@ _NEST_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Ladder:
-    """Ordered family of finite-dimensional levels, coarsest first."""
+    """Ordered family of finite-dimensional levels, coarsest first.
+
+    ``rule`` is derived from the level type: ``"coordinate"`` for integer
+    dimensions, ``"bilinear"`` for grids.
+    """
 
     levels: tuple
     nested: bool = True
-    rule: str = "auto"
     bounds: "tuple | None" = None
+    rule: str = field(init=False)
 
     def __post_init__(self):
         levels = tuple(self.levels)
         if not levels:
             raise ValueError("a ladder needs at least one level")
         if all(isinstance(l, (int, np.integer)) for l in levels):
-            resolved = "coordinate"
+            rule = "coordinate"
             levels = tuple(int(l) for l in levels)
             if any(l < 1 for l in levels):
                 raise ValueError("coordinate level dimensions must be >= 1")
             if self.nested and any(a >= b for a, b in zip(levels, levels[1:])):
                 raise ValueError("nested coordinate ladder needs strictly increasing dimensions")
         elif all(isinstance(l, Grid) for l in levels):
-            resolved = "bilinear"
+            rule = "bilinear"
             if self.nested:
                 for coarse, fine in zip(levels, levels[1:]):
                     if not _grid_nested(coarse, fine):
@@ -57,10 +61,7 @@ class Ladder:
         else:
             raise ValueError("levels must be all ints (dimensions) or all Grids")
         object.__setattr__(self, "levels", levels)
-        if self.rule == "auto":
-            object.__setattr__(self, "rule", resolved)
-        elif self.rule != resolved:
-            raise ValueError(f"projection rule {self.rule!r} does not match level type")
+        object.__setattr__(self, "rule", rule)
 
     def __len__(self) -> int:
         return len(self.levels)

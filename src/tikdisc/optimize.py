@@ -36,7 +36,6 @@ from .penalties import _check_space, penalty_subgradient, penalty_value
 from .tikhonov import TikhonovConfig, check_domain
 
 __all__ = [
-    "WolfeParams",
     "StopRule",
     "RegularizedSolution",
     "initial_step",
@@ -49,20 +48,11 @@ STOP_REASONS = ("band-hit", "max-iters", "stalled", "gradient-zero")
 
 _TINY = np.finfo(float).tiny
 
-
-@dataclass(frozen=True)
-class WolfeParams:
-    """Strong-Wolfe constants: 0 < c1 < c2 < 1, plus the bracket budget."""
-
-    c1: float = 1e-8
-    c2: float = 0.95
-    max_bracket_steps: int = 50
-
-    def __post_init__(self):
-        if not (0.0 < self.c1 < self.c2 < 1.0):
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if self.max_bracket_steps < 1:
-            raise ValueError("max_bracket_steps must be positive")
+# Strong-Wolfe constants 0 < C1 < C2 < 1 and the bracket budget, shared by
+# the bracketing phase and the zoom.
+WOLFE_C1 = 1e-8
+WOLFE_C2 = 0.95
+WOLFE_BRACKET_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -124,7 +114,7 @@ def initial_step(prev_grad_sqnorm, cur_grad_sqnorm) -> float:
     return float(prev_grad_sqnorm) / float(cur_grad_sqnorm)
 
 
-def wolfe_line_search(f, g, params: WolfeParams, initial_step: float):
+def wolfe_line_search(f, g, initial_step: float):
     """Strong-Wolfe step along a descent ray; ``None`` on bracket exhaustion.
 
     ``f(t)`` and ``g(t)`` evaluate the restricted functional and its
@@ -137,8 +127,8 @@ def wolfe_line_search(f, g, params: WolfeParams, initial_step: float):
     dphi0 = g(0.0)
     if dphi0 >= 0.0:
         raise ValueError(f"not a descent direction (slope {dphi0})")
-    c1, c2 = params.c1, params.c2
-    budget = params.max_bracket_steps
+    c1, c2 = WOLFE_C1, WOLFE_C2
+    budget = WOLFE_BRACKET_STEPS
     # Value comparisons get a few-ulp slack: near convergence the true
     # per-step decrease drops below the rounding jitter of the functional,
     # and the (cancellation-free) derivative condition must take over.
@@ -275,7 +265,7 @@ def _band_landing(x, direction, proj, full_eval, band, t_hi, budget: int = 60):
     return None
 
 
-def minimize_misfit(model, ydelta, p=2.0, ladder=None, level=None, wolfe=None, stop=None,
+def minimize_misfit(model, ydelta, p=2.0, ladder=None, level=None, stop=None,
                     x_start=None, penalty=None, alpha=0.0) -> RegularizedSolution:
     """Minimize ||F(x) - ydelta||^p (+ alpha * penalty when alpha > 0).
 
@@ -283,12 +273,11 @@ def minimize_misfit(model, ydelta, p=2.0, ladder=None, level=None, wolfe=None, s
     the same dynamics, stopping rules, and projections as the Tikhonov runs.
     """
     return _descend(model, ydelta, penalty, float(alpha), float(p),
-                    ladder, level, wolfe, stop, x_start)
+                    ladder, level, stop, x_start)
 
 
 def minimize_tikhonov(model, ydelta, cfg: TikhonovConfig, ladder=None, level=None,
-                      wolfe: "WolfeParams | None" = None, stop: "StopRule | None" = None,
-                      x_start=None) -> RegularizedSolution:
+                      stop: "StopRule | None" = None, x_start=None) -> RegularizedSolution:
     """Projected gradient descent on the Tikhonov functional over one level.
 
     The start defaults to the penalty prior projected into the feasible set.
@@ -299,11 +288,10 @@ def minimize_tikhonov(model, ydelta, cfg: TikhonovConfig, ladder=None, level=Non
     if cfg.p == 1.0:
         raise ValueError("p = 1 misfit is non-smooth; gradient descent needs p > 1")
     return _descend(model, ydelta, cfg.penalty, cfg.alpha, cfg.p,
-                    ladder, level, wolfe, stop, x_start)
+                    ladder, level, stop, x_start)
 
 
-def _descend(model, ydelta, penalty, alpha, p, ladder, level, wolfe, stop, x_start):
-    wolfe = wolfe or WolfeParams()
+def _descend(model, ydelta, penalty, alpha, p, ladder, level, stop, x_start):
     stop = stop or StopRule()
     proj = _project_factory(model, ladder, level)
     restrict = _gradient_restriction(ladder, level)
@@ -390,10 +378,10 @@ def _descend(model, ydelta, penalty, alpha, p, ladder, level, wolfe, stop, x_sta
         direction = -1.0 * grad
         cache.clear()
         t0 = initial_step(prev_gsq, gsq)
-        t = wolfe_line_search(phi, dphi, wolfe, t0)
+        t = wolfe_line_search(phi, dphi, t0)
         if t is None:
             retry = 1.0 if t0 != 1.0 else 0.5
-            t = wolfe_line_search(phi, dphi, wolfe, retry)
+            t = wolfe_line_search(phi, dphi, retry)
         if t is not None:
             z, val, g_z = cache[t]
             x_new = proj(z)

@@ -54,8 +54,6 @@ __all__ = [
     "true_coefficient",
     "initial_condition",
     "solve_forward",
-    "forward_operator",
-    "misfit_gradient",
     "ParabolicModel",
 ]
 
@@ -198,15 +196,13 @@ def solve_forward(a: Surface, params: PdeParams, grid: Grid) -> Surface:
 
 
 def _misfit_gradient_values(a: Surface, target: Surface, params: PdeParams,
-                            grid: Grid, p: float, u: "Surface | None" = None) -> np.ndarray:
+                            grid: Grid, p: float, u: Surface) -> np.ndarray:
     """Euclidean-to-L2 gradient of ||u(a) - target||^p on a's own grid.
 
-    ``u`` is the forward state u(a) when the caller already has it.
+    ``u`` is the forward state u(a).
     """
     a_vals = _coefficient_on(a, grid)
     sys = CnSystem(a_vals, grid, params.b)
-    if u is None:
-        u = solve_forward(a, params, grid)
     u = u.values
     w = grid.cell_weights()
     residual = u - target.values
@@ -232,20 +228,6 @@ def _misfit_gradient_values(a: Surface, target: Surface, params: PdeParams,
     if a.grid != grid:
         grad = interpolate_adjoint(grad, a.grid, grid)
     return grad / a.grid.cell_weights()
-
-
-def forward_operator(a: Surface, params: PdeParams, grid: Grid) -> Surface:
-    """u(a) - u(a0): the solution shift relative to the prior coefficient."""
-    base = params.a0 if isinstance(params.a0, Surface) else constant_surface(grid, params.a0)
-    return solve_forward(a, params, grid) - solve_forward(base, params, grid)
-
-
-def misfit_gradient(a: Surface, udelta: Surface, params: PdeParams, grid: Grid,
-                    p: float = 2.0) -> Surface:
-    """Gradient of a -> ||u(a) - udelta||^p via the discrete adjoint."""
-    if udelta.grid != grid:
-        raise ValueError("data must live on the solver grid")
-    return Surface(a.grid, _misfit_gradient_values(a, udelta, params, grid, p))
 
 
 class ParabolicModel:

@@ -1,4 +1,10 @@
-"""Tikhonov functional: misfit-plus-penalty value and gradient.
+"""Tikhonov problem setup: the functional's parameters and the model's domain.
+
+The functional ||F(x) - ydelta||^p + alpha * f_x0(x) is evaluated in one
+place, the descent loop of :mod:`tikdisc.optimize`.  This module holds what
+that loop and the searches around it share: ``TikhonovConfig`` (alpha, the
+misfit exponent p and the penalty) and ``check_domain``, the box check on a
+model's argument.
 
 A forward model is any object with
 
@@ -19,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Surface, norm
-from .penalties import Penalty, penalty_subgradient, penalty_value
+from .grids import Surface
+from .penalties import Penalty
 
-__all__ = ["TikhonovConfig", "tikhonov_value", "tikhonov_gradient", "check_domain"]
+__all__ = ["TikhonovConfig", "check_domain"]
 
 
 @dataclass(frozen=True)
@@ -51,24 +57,3 @@ def check_domain(model, x) -> None:
         raise ValueError(
             f"{getattr(model, 'name', 'model')}: argument outside box [{lo}, {hi}] "
             f"(range [{xmin}, {xmax}])")
-
-
-def misfit_value(model, x, ydelta, p: float = 2.0) -> float:
-    """||apply(x) - ydelta||^p with the residual in the data-space norm."""
-    return norm(model.apply(x) - ydelta) ** p
-
-
-def tikhonov_value(x, model, ydelta, cfg: TikhonovConfig) -> float:
-    """||F(x) - ydelta||^p + alpha * f_x0(x); finite and non-negative."""
-    check_domain(model, x)
-    value = misfit_value(model, x, ydelta, cfg.p) + cfg.alpha * penalty_value(cfg.penalty, x)
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite Tikhonov value {value}")
-    return float(value)
-
-
-def tikhonov_gradient(x, model, ydelta, cfg: TikhonovConfig):
-    """Gradient of the Tikhonov functional in the space of x."""
-    grad = model.misfit_gradient(x, ydelta, cfg.p)
-    pen = penalty_subgradient(cfg.penalty, x)
-    return grad + cfg.alpha * pen

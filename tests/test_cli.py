@@ -108,6 +108,20 @@ class TestCliVerbs:
     def test_missing_file_exit_2(self):
         assert main(["validate", "/nonexistent/nope.cfg"]) == 2
 
+    @pytest.mark.parametrize("kind, section, lines, key", [
+        ("pde-sweep", "noise", "std = -0.01", "std"),
+        ("pde-sweep", "pde", "a0 = 2.0\na_max = 1.0", "a0"),
+        ("linear-oracle", "oracle", "n_max = 1", "n_max"),
+        ("linear-oracle", "oracle", "alpha_min = 0", "alpha_min"),
+        ("linear-oracle", "oracle", "alpha_min = 10\nalpha_max = 1", "alpha_min"),
+        ("pde-sweep", "optimize", "c1 = 1e-8", "c1"),
+    ])
+    def test_rejected_value_exit_2_names_key(self, tmp_path, capsys, kind, section, lines, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[experiment]\nkind = {kind}\n[{section}]\n{lines}\n")
+        assert main(["validate", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_sequential_demo_outputs(self, tmp_path):
         cfg = _write(tmp_path, SEQUENTIAL)
         assert main(["run", str(cfg)]) == 0

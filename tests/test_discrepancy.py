@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from tikdisc.discrepancy import (DiscrepancyBand, LevelSelectionError, SearchExhaustedError,
-                                 check_band, in_h_set, joint_discrepancy_search,
-                                 morozov_alpha_search, penalty_H, residual_L,
-                                 select_level, sequential_discrepancy, value_I)
+                                 check_band, joint_discrepancy_search, morozov_alpha_search,
+                                 select_level, sequential_discrepancy)
 from tikdisc.ladder import Ladder, gamma_m
 from tikdisc.linear import LinearModel, closed_form_minimizer, closed_form_solution
+from tikdisc.optimize import RegularizedSolution
 from tikdisc.penalties import Penalty
 from tikdisc.tikhonov import TikhonovConfig
 
@@ -22,11 +22,8 @@ def test_band_defaults_and_validation():
     band = DiscrepancyBand(tau=1.025, lam=1.125)
     assert band.tau1 == 1.025
     assert band.tau2 == pytest.approx(1.075)
-    assert band.epsilon == pytest.approx(0.0125)
     with pytest.raises(ValueError):
         DiscrepancyBand(tau=1.5, lam=1.2)
-    with pytest.raises(ValueError):
-        DiscrepancyBand(tau=1.1, lam=1.5, epsilon=0.2)
 
 
 def test_check_band_examples():
@@ -37,28 +34,21 @@ def test_check_band_examples():
     assert check_band(0.1025, 0.1, band) is True
 
 
-def test_h_set_membership():
-    band = DiscrepancyBand(tau=1.4, lam=2.0, epsilon=0.2)
-    assert in_h_set(0.119, 0.1, band)
-    assert not in_h_set(0.121, 0.1, band)
-
-
 def test_lhi_closed_forms():
     alpha = 0.5
     x = YD / (1.0 + alpha)
     sol = closed_form_solution(IDENTITY, YD, TikhonovConfig(alpha=alpha, penalty=PEN))
     assert np.allclose(sol.x, x)
-    L = residual_L(IDENTITY, YD, sol)
-    H = penalty_H(PEN, sol)
+    L, H = sol.residual, sol.penalty
     assert L == pytest.approx(alpha / (1 + alpha), rel=1e-12)
     assert H == pytest.approx(1.0 / (1 + alpha) ** 2, rel=1e-12)
-    assert value_I(IDENTITY, YD, PEN, sol, alpha) == pytest.approx(L ** 2 + alpha * H, rel=1e-12)
-    assert value_I(IDENTITY, YD, PEN, sol, 0.0) == pytest.approx(L ** 2, rel=1e-12)
+    # I = L**2 + alpha * H equals its closed form alpha / (1 + alpha)
+    assert L ** 2 + alpha * H == pytest.approx(alpha / (1 + alpha), rel=1e-12)
 
 
 def test_penalty_H_zero_at_prior():
     sol = closed_form_solution(IDENTITY, YD, TikhonovConfig(alpha=1e9, penalty=PEN))
-    assert penalty_H(PEN, sol) <= 1e-12
+    assert sol.penalty <= 1e-12
 
 
 def test_monotone_L_H_I_closed_form_grid():
@@ -138,6 +128,30 @@ class TestAlphaSearch:
                                    minimize_fn=closed_form_solution)
         # expansions + ceil(log2(bracket decades / tol))
         assert res.minimizations <= 60 + int(np.ceil(np.log2(12.0 / tol)))
+
+    @staticmethod
+    def _jump_at_one_hundredth(model, ydelta, cfg, ladder, level, x_start=None):
+        # residual jumps from 0.05 to 0.5 at alpha = 0.01, clean across the band
+        residual = 0.05 if cfg.alpha < 0.01 else 0.5
+        return RegularizedSolution(x=np.zeros(2), residual=residual, penalty=0.0,
+                                   iterations=0, stop_reason="gradient-zero",
+                                   alpha=cfg.alpha, level=level)
+
+    @pytest.mark.parametrize("tol, minimizations", [(1e-3, 14), (0.0, 58), (1e-20, 58)])
+    def test_residual_jump_ends_at_float_resolution(self, tol, minimizations):
+        band = DiscrepancyBand(tau=1.025, lam=1.125)
+        res = morozov_alpha_search(IDENTITY, YD, LADDER2, 1, band, delta=0.1, penalty=PEN,
+                                   tol=tol, minimize_fn=self._jump_at_one_hundredth)
+        assert res.status == "exhausted"
+        assert "residual jump" in res.detail
+        assert res.minimizations == minimizations
+
+    def test_bad_bracket_rejected_before_prior_check(self):
+        band = DiscrepancyBand(tau=1.1, lam=1.6, tau1=1.1, tau2=1.5)
+        ydelta = np.array([0.12, 0.0])  # the prior residual is below the band
+        with pytest.raises(ValueError, match="bracket"):
+            morozov_alpha_search(IDENTITY, ydelta, LADDER2, 1, band, delta=0.1, penalty=PEN,
+                                 alpha_bracket=(0.0, 1.0), minimize_fn=closed_form_solution)
 
 
 class TestSelectLevel:

@@ -3,10 +3,10 @@ import pytest
 
 from tikdisc.grids import Grid, constant_surface
 from tikdisc.linear import LinearModel, closed_form_minimizer, make_ladder_model
-from tikdisc.optimize import (StopRule, WolfeParams, initial_step, minimize_misfit,
-                              minimize_tikhonov, wolfe_line_search)
+from tikdisc.optimize import (WOLFE_BRACKET_STEPS, WOLFE_C1, WOLFE_C2, StopRule, initial_step,
+                              minimize_misfit, minimize_tikhonov, wolfe_line_search)
 from tikdisc.penalties import Penalty
-from tikdisc.tikhonov import TikhonovConfig, tikhonov_value
+from tikdisc.tikhonov import TikhonovConfig, check_domain
 
 IDENTITY = LinearModel(np.eye(2), np.array([1.0, 0.0]))
 YDELTA = np.array([1.0, 0.0])
@@ -17,19 +17,25 @@ def quad_cfg(alpha, x0=None):
 
 
 def test_tikhonov_value_identity_example():
-    assert tikhonov_value(np.array([0.5, 0.0]), IDENTITY, YDELTA, quad_cfg(1.0)) == pytest.approx(0.5)
+    # (0.5, 0) is the minimizer, so the run reports the functional's parts there
+    cfg = quad_cfg(1.0)
+    sol = minimize_tikhonov(IDENTITY, YDELTA, cfg, x_start=np.array([0.5, 0.0]))
+    assert sol.iterations == 0
+    assert sol.residual ** 2 + cfg.alpha * sol.penalty == pytest.approx(0.5)
 
 
 def test_tikhonov_value_zero_at_consistent_prior():
-    x0 = np.array([1.0, 0.0])
-    cfg = quad_cfg(1.0, x0=x0)
-    assert tikhonov_value(x0, IDENTITY, YDELTA, cfg) == 0.0
+    cfg = quad_cfg(1.0, x0=np.array([1.0, 0.0]))
+    sol = minimize_tikhonov(IDENTITY, YDELTA, cfg)
+    assert sol.iterations == 0
+    assert sol.residual ** 2 + cfg.alpha * sol.penalty == 0.0
 
 
-def test_tikhonov_value_rejects_out_of_box():
+def test_check_domain_rejects_out_of_box():
     model = LinearModel(np.eye(2), np.array([0.5, 0.5]), bounds=(0.0, 1.0))
     with pytest.raises(ValueError, match=r"box \[0.0, 1.0\]"):
-        tikhonov_value(np.array([2.0, 0.5]), model, YDELTA, quad_cfg(1.0))
+        check_domain(model, np.array([2.0, 0.5]))
+    check_domain(model, np.array([1.0, 0.0]))
 
 
 def test_initial_step_examples():
@@ -45,30 +51,29 @@ class TestWolfeLineSearch:
         # f(t) = (1 - t)^2 walking from x = 1 along -gradient
         f = lambda t: (1.0 - t) ** 2
         g = lambda t: -2.0 * (1.0 - t)
-        params = WolfeParams(c1=1e-4, c2=0.9)
-        t = wolfe_line_search(f, g, params, 0.1)
+        t = wolfe_line_search(f, g, 0.1)
         assert t is not None and 0.0 < t <= 1.0 + 1e-12
-        assert f(t) <= f(0.0) + params.c1 * t * g(0.0) + 1e-14
-        assert abs(g(t)) <= params.c2 * abs(g(0.0))
+        assert f(t) <= f(0.0) + WOLFE_C1 * t * g(0.0) + 1e-14
+        assert abs(g(t)) <= WOLFE_C2 * abs(g(0.0))
 
     def test_linear_decreasing_exhausts(self):
         f = lambda t: -t
         g = lambda t: -1.0
-        assert wolfe_line_search(f, g, WolfeParams(), 1.0) is None
+        assert wolfe_line_search(f, g, 1.0) is None
 
     def test_admissible_initial_step_returned_unchanged(self):
         f = lambda t: (1.0 - t) ** 2
         g = lambda t: -2.0 * (1.0 - t)
-        t = wolfe_line_search(f, g, WolfeParams(c1=1e-4, c2=0.9), 1.0)
+        t = wolfe_line_search(f, g, 1.0)
         assert t == 1.0
 
     def test_ascent_direction_rejected(self):
         with pytest.raises(ValueError, match="descent"):
-            wolfe_line_search(lambda t: t, lambda t: 1.0, WolfeParams(), 1.0)
+            wolfe_line_search(lambda t: t, lambda t: 1.0, 1.0)
 
     def test_params_validated(self):
-        with pytest.raises(ValueError):
-            WolfeParams(c1=0.5, c2=0.1)
+        assert 0.0 < WOLFE_C1 < WOLFE_C2 < 1.0
+        assert WOLFE_BRACKET_STEPS >= 1
 
 
 class TestMinimize:
@@ -138,9 +143,9 @@ class TestMinimize:
         assert np.allclose(sol.x[m:], 0.0)
         ref = closed_form_minimizer(model.matrix[:, :m], ydelta, cfg.alpha, np.zeros(m))
         assert np.allclose(sol.x[:m], ref, atol=1e-5)
-        # the returned functional value does not exceed the start's
-        start = tikhonov_value(np.zeros(6), model, ydelta, cfg)
-        final = tikhonov_value(sol.x, model, ydelta, cfg)
+        # the returned functional value does not exceed the start's (the prior)
+        start = float(np.linalg.norm(model.apply(np.zeros(6)) - ydelta)) ** 2
+        final = sol.residual ** 2 + cfg.alpha * sol.penalty
         assert final <= start + 1e-12 * (1.0 + start)
 
     def test_box_feasible_iterates(self):

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from tikdisc.grids import Grid, Surface, constant_surface, inner, interpolate, norm
-from tikdisc.pde import (CnSystem, ParabolicModel, PdeParams, forward_operator,
-                         initial_condition, misfit_gradient, solve_banded, solve_forward,
-                         true_coefficient, true_sigma)
-from tikdisc.penalties import Penalty
+from tikdisc.pde import (CnSystem, ParabolicModel, PdeParams, initial_condition, solve_banded,
+                         solve_forward, true_coefficient, true_sigma)
+from tikdisc.penalties import Penalty, penalty_subgradient, penalty_value
 from tikdisc.synthdata import generate_data
-from tikdisc.tikhonov import TikhonovConfig, tikhonov_gradient, tikhonov_value
 
 PARAMS = PdeParams()
 SOLVER = Grid.from_steps(0.02, 0.1)
@@ -86,15 +84,16 @@ def test_solver_determinism_bitwise():
 
 def test_forward_operator_zero_at_prior():
     a0 = constant_surface(SOLVER, 0.08)
-    f = forward_operator(a0, PARAMS, SOLVER)
+    f = ParabolicModel(PARAMS, SOLVER).apply(a0)
     assert np.array_equal(f.values, np.zeros(SOLVER.shape))
 
 
 def test_forward_operator_nonlinear():
     grid = Grid.from_counts(6, 11)
+    model = ParabolicModel(PARAMS, grid)
     a = true_coefficient(grid)
-    f1 = forward_operator(a, PARAMS, grid)
-    f2 = forward_operator(Surface(grid, 2.0 * a.values), PARAMS, grid)
+    f1 = model.apply(a)
+    f2 = model.apply(Surface(grid, 2.0 * a.values))
     assert norm(f2 - 2.0 * f1) > 1e-3 * max(norm(f1), 1e-12)
 
 
@@ -164,21 +163,14 @@ class TestAdjointGradient:
         rng, model, ydelta, a, _ = self._setup()
         pen = Penalty("weighted-h1", constant_surface(self.GRID, 0.08), beta1=0.5,
                       beta2=0.25 * self.GRID.dy, beta3=0.25 * self.GRID.dt)
-        cfg = TikhonovConfig(alpha=0.01, penalty=pen)
-        g = tikhonov_gradient(a, model, ydelta, cfg)
+        alpha = 0.01
+        g = model.misfit_gradient(a, ydelta) + alpha * penalty_subgradient(pen, a)
+        value = lambda z: norm(model.apply(z) - ydelta) ** 2 + alpha * penalty_value(pen, z)
         for _ in range(10):
             h = Surface(self.GRID, rng.standard_normal(self.GRID.shape))
             eps = 1e-6
-            fd = (tikhonov_value(a + eps * h, model, ydelta, cfg)
-                  - tikhonov_value(a - eps * h, model, ydelta, cfg)) / (2 * eps)
+            fd = (value(a + eps * h) - value(a - eps * h)) / (2 * eps)
             assert abs(fd - inner(g, h)) <= 1e-5 * max(abs(fd), 1e-12)
-
-    def test_misfit_gradient_op_matches_model(self):
-        rng, model, ydelta, a, _ = self._setup()
-        target = ydelta + model.base_solution()
-        g_op = misfit_gradient(a, target, PARAMS, self.GRID)
-        g_model = model.misfit_gradient(a, ydelta)
-        assert np.allclose(g_op.values, g_model.values, atol=1e-15)
 
     def test_memo_serves_no_stale_state(self):
         _, model, ydelta, a1, _ = self._setup()

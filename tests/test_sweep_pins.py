@@ -1,0 +1,91 @@
+"""Bitwise pins of a small pde sweep run through the command line.
+
+``configs/paper_sweep.cfg`` cut to its coefficient meshes 0, 1 and 7, all
+12 alphas, seed 0.  Meshes 0 and 1 are coarser than the solver grid, and all
+their cells stop after one iteration with one residual; mesh 7 is the solver
+grid, where the cells depend on alpha.  Every cell is pinned by the ``float.hex`` of its residual,
+its iteration count and its stop reason, read back from ``summary.txt``
+(which prints each residual as its shortest round-trip decimal).  A change
+that keeps the sweep's floating-point operations and their order leaves
+every pin as it is; a change that is meant to alter the sweep must update
+the pins and say why.
+"""
+
+import re
+from pathlib import Path
+
+from tikdisc.cli import main
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_sweep.cfg"
+MESHES = (0, 1, 7)
+CELL = re.compile(r"^cell mesh=(\d+) alpha=\S+: residual=(\S+) iterations=(\d+) stop=(\S+)$")
+
+
+def _select_meshes(line: str) -> str:
+    key, values = line.split("=", 1)
+    values = [v.strip() for v in values.split(",")]
+    return f"{key}= {', '.join(values[i] for i in MESHES)}"
+
+
+def run_pinned_sweep(tmp_path):
+    lines = []
+    for line in CONFIG.read_text().splitlines():
+        if line.startswith(("dtau_list", "dy_list")):
+            line = _select_meshes(line)
+        lines.append(line)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "out"), "--seed", "0"])
+    cells = []
+    for line in (tmp_path / "out" / "summary.txt").read_text().splitlines():
+        m = CELL.match(line)
+        if m:
+            cells.append((int(m[1]), float(m[2]).hex(), int(m[3]), m[4]))
+    return code, cells
+
+
+SWEEP_PINS = (  # (mesh position in the cut config, residual, iterations, stop)
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
+    (2, '0x1.1d99b955e57f5p-5', 2, 'band-hit'),
+    (2, '0x1.21d412ff02770p-5', 2, 'band-hit'),
+    (2, '0x1.1f747f25440b5p-5', 3, 'band-hit'),
+    (2, '0x1.1aa229b925b8bp-5', 2, 'band-hit'),
+    (2, '0x1.1aadefe99587fp-5', 2, 'band-hit'),
+    (2, '0x1.1a6337fff1fb5p-5', 2, 'band-hit'),
+    (2, '0x1.1abcb0f014c18p-5', 2, 'band-hit'),
+    (2, '0x1.1abe2b356f133p-5', 2, 'band-hit'),
+    (2, '0x1.1abf59e660f80p-5', 2, 'band-hit'),
+    (2, '0x1.1abf7fbdb03f5p-5', 2, 'band-hit'),
+    (2, '0x1.1abcb52fe2871p-5', 2, 'band-hit'),
+    (2, '0x1.1abfa5954350bp-5', 2, 'band-hit'),
+)
+
+
+def test_three_mesh_sweep_pinned(tmp_path):
+    code, cells = run_pinned_sweep(tmp_path)
+    assert code == 0
+    assert len(cells) == 36
+    assert tuple(cells) == SWEEP_PINS
