@@ -9,10 +9,10 @@ Verbs:
                            (kind must be ``linear-oracle``);
 * ``validate <config>`` -- parse, validate, and echo the effective config.
 
-Flags ``--out DIR``, ``--seed N``, ``--workers N``, ``--format csv``
-override the corresponding config entries.  Exit status: 0 on success, 2 on
-a configuration error, 3 when a discrepancy search (or the whole sweep)
-exhausts without a band hit.
+Flags ``--out DIR``, ``--seed N`` and ``--workers N`` override the
+corresponding config entries; tables are written as CSV.  Exit status: 0 on
+success, 2 on a configuration error, 3 when a discrepancy search (or the
+whole sweep) exhausts without a band hit.
 
 Sweep cells run concurrently up to the worker count; CSV rows are ordered
 by mesh and then alpha regardless of completion order, and a fixed seed
@@ -32,7 +32,7 @@ from .diagnostics import l2_error, rate_table
 from .discrepancy import (DiscrepancyBand, SearchExhaustedError, check_band,
                           joint_discrepancy_search, sequential_discrepancy)
 from .expconfig import ConfigError, ExperimentConfig, load_config, resolve_alphas
-from .grids import Grid, constant_surface, fmt, norm, save_surface
+from .grids import Grid, constant_surface, fmt, save_surface
 from .ladder import Ladder, gamma_m
 from .linear import LinearModel, closed_form_minimizer, make_ladder_model
 from .optimize import StopRule, minimize_misfit, minimize_tikhonov
@@ -59,7 +59,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--format", default="csv", choices=["csv"])
     args = parser.parse_args(argv)
 
     try:
@@ -152,25 +151,15 @@ def run_pde_sweep(cfg: ExperimentConfig) -> int:
     fine = Grid.from_steps(cfg.get("grids", "fine_dtau"), cfg.get("grids", "fine_dy"))
     solver = Grid.from_steps(cfg.get("grids", "solver_dtau"), cfg.get("grids", "solver_dy"))
 
-    dts = cfg.get("coefficient_meshes", "dtau_list")
-    dys = cfg.get("coefficient_meshes", "dy_list")
-    if cfg.get("coefficient_meshes", "pairing") == "zipped":
-        pairs = list(zip(dts, dys))
-    else:
-        pairs = [(dt, dy) for dt in dts for dy in dys]
-    meshes = [Grid.from_steps(dt, dy) for dt, dy in pairs]
+    mesh_cfg = cfg.values["coefficient_meshes"]
+    meshes = [Grid.from_steps(dt, dy) for dt, dy in zip(mesh_cfg["dtau_list"], mesh_cfg["dy_list"])]
 
-    a_true_fine = true_coefficient(fine)
     a_true_solver = true_coefficient(solver)
     model = ParabolicModel(params, solver)
-    noise_std = cfg.get("noise", "std")
-    redraw = cfg.get("noise", "redraw_per_mesh")
-
-    datasets = {}
-    base = generate_data(a_true_fine, params, fine, solver, noise_std, seed)
-    for idx in range(len(meshes)):
-        datasets[idx] = (generate_data(a_true_fine, params, fine, solver, noise_std,
-                                       seed + idx) if redraw else base)
+    ds = generate_data(true_coefficient(fine), params, fine, solver, cfg.get("noise", "std"), seed)
+    ydelta = model.shift_data(ds.u_delta)
+    alphas = resolve_alphas(cfg.get("alphas", "values"), ds.delta)
+    lo, hi = band.tau * ds.delta, band.lam * ds.delta
 
     pde_vals = cfg.values["pde"]
     pen_vals = cfg.values["penalty"]
@@ -178,10 +167,6 @@ def run_pde_sweep(cfg: ExperimentConfig) -> int:
 
     tasks = []
     for mesh_idx, mesh in enumerate(meshes):
-        ds = datasets[mesh_idx]
-        ydelta = model.shift_data(ds.u_delta)
-        alphas = resolve_alphas(cfg.get("alphas", "values"), ds.delta)
-        lo, hi = band.tau * ds.delta, band.lam * ds.delta
         for alpha_idx, alpha in enumerate(alphas):
             tasks.append((mesh_idx, alpha_idx, model, ydelta, mesh, alpha,
                           pde_vals, pen_vals, lo, hi, opt_vals))
@@ -200,8 +185,6 @@ def run_pde_sweep(cfg: ExperimentConfig) -> int:
     residual_rows, error_rows, summary = [], [], []
     selected = []
     for mesh_idx, mesh in enumerate(meshes):
-        ds = datasets[mesh_idx]
-        alphas = resolve_alphas(cfg.get("alphas", "values"), ds.delta)
         in_band = []
         closest = None
         for alpha_idx, sol in cells[mesh_idx]:

@@ -1,4 +1,4 @@
-"""Bregman distances, coercivity probes, and convergence-rate tables.
+"""Bregman distances, L2 errors, and convergence-rate tables.
 
 The rate table collects, for a family of runs at decreasing noise levels,
 the selected alpha, the residual, the Bregman distance to the true solution,
@@ -25,11 +25,9 @@ from .ladder import Ladder, phi_m, project
 from .penalties import Penalty, penalty_subgradient, penalty_value
 
 __all__ = [
-    "BregmanReport",
     "RateRow",
     "RateTable",
     "bregman_distance",
-    "q_coercivity_check",
     "l2_error",
     "eta_m",
     "rate_table",
@@ -38,62 +36,14 @@ __all__ = [
 RATE_CSV_HEADER = "delta,alpha,level,residual,bregman,l2_error,gamma_m,phi_m,eta_m"
 
 
-@dataclass(frozen=True)
-class BregmanReport:
-    """Bregman distance value with the subgradient that generated it."""
-
-    distance: float
-    subgradient_used: object
-    at: str = ""
-
-    def __post_init__(self):
-        if self.distance < -1e-12:
-            raise ValueError(f"negative Bregman distance {self.distance} for a convex penalty")
-
-
-def bregman_distance(penalty: Penalty, u, v, xi=None) -> BregmanReport:
+def bregman_distance(penalty: Penalty, u, v, xi=None) -> float:
     """D_xi(u, v) = f(u) - f(v) - <xi, u - v> with xi a subgradient at v."""
     if xi is None:
         xi = penalty_subgradient(penalty, v)
-    value = penalty_value(penalty, u) - penalty_value(penalty, v) - inner(xi, u - v)
-    return BregmanReport(distance=float(value), subgradient_used=xi,
-                         at=f"penalty kind {penalty.kind}")
-
-
-def q_coercivity_check(penalty: Penalty, q: float, zeta: float, samples: int,
-                       seed: int) -> tuple[bool, float]:
-    """Sampled test of D_xi(u~, u) >= zeta * ||u~ - u||^q.
-
-    Pairs are drawn around the prior (multiplicatively in [0.5, 2] for the
-    Kullback-Leibler kind, additively otherwise).  Returns the verdict and
-    the worst observed ratio D / ||.||^q.
-    """
-    if q < 1.0 or zeta <= 0.0:
-        raise ValueError("need q >= 1 and zeta > 0")
-    rng = np.random.default_rng(seed)
-    x0 = penalty.x0
-    shape = x0.values.shape if isinstance(x0, Surface) else np.shape(x0)
-
-    def draw():
-        if penalty.kind == "kullback-leibler":
-            factor = rng.uniform(0.5, 2.0, shape)
-            vals = (x0.values if isinstance(x0, Surface) else x0) * factor
-        else:
-            base = x0.values if isinstance(x0, Surface) else x0
-            vals = base + rng.standard_normal(shape)
-        return Surface(x0.grid, vals) if isinstance(x0, Surface) else vals
-
-    worst = np.inf
-    for _ in range(samples):
-        u = draw()
-        u_tilde = draw()
-        gap = norm(u_tilde - u)
-        if gap == 0.0:
-            continue
-        dist = bregman_distance(penalty, u_tilde, u).distance
-        worst = min(worst, dist / gap ** q)
-    ok = worst >= zeta * (1.0 - 1e-9)
-    return ok, float(worst)
+    value = float(penalty_value(penalty, u) - penalty_value(penalty, v) - inner(xi, u - v))
+    if value < -1e-12:
+        raise ValueError(f"negative Bregman distance {value} for a convex penalty")
+    return value
 
 
 def l2_error(x, x_true) -> float:
@@ -114,7 +64,7 @@ def eta_m(penalty: Penalty, ladder: Ladder, level: int, x_true, xi=None) -> floa
     px = project(ladder, level, x_true)
     if isinstance(px, Surface) and px.grid != x_true.grid:
         px = interpolate(px, x_true.grid)
-    return bregman_distance(penalty, px, x_true, xi=xi).distance
+    return bregman_distance(penalty, px, x_true, xi=xi)
 
 
 class RateRow(NamedTuple):
@@ -169,7 +119,7 @@ def rate_table(runs, penalty: Penalty, x_true, ladder: Ladder, p: float = 2.0) -
             alpha=float(res.alpha),
             level=int(res.level),
             residual=float(sol.residual),
-            bregman=bregman_distance(penalty, sol.x, x_true, xi=xi).distance,
+            bregman=bregman_distance(penalty, sol.x, x_true, xi=xi),
             l2_error=l2_error(sol.x, x_true),
             gamma_m=float(res.gamma_m),
             phi_m=phi_m(ladder, res.level, x_true),

@@ -33,13 +33,13 @@ __all__ = [
     "MorozovResult",
     "SequentialResult",
     "SearchExhaustedError",
-    "LevelSelectionError",
     "check_band",
     "morozov_alpha_search",
-    "select_level",
     "joint_discrepancy_search",
     "sequential_discrepancy",
 ]
+
+_MAX_EXPANSIONS = 60  # bracket expansions per side, each by a factor of 10
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,6 @@ class SearchExhaustedError(RuntimeError):
         self.trace = tuple(trace or ())
 
 
-class LevelSelectionError(LookupError):
-    """No ladder level satisfies the image-gap bound."""
-
-    def __init__(self, bound, best_gamma):
-        super().__init__(
-            f"no level satisfies gamma <= {bound}; best available gamma is {best_gamma}")
-        self.bound = bound
-        self.best_gamma = best_gamma
-
-
 def check_band(residual: float, delta: float, band: DiscrepancyBand) -> bool:
     """True iff tau * delta <= residual <= lambda * delta (inclusive)."""
     if residual < 0.0 or delta < 0.0:
@@ -136,17 +126,17 @@ def _default_minimize(stop):
 def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: DiscrepancyBand,
                          delta: float, *, penalty: Penalty, gamma_m: float = 0.0,
                          alpha_bracket=(1e-4, 1.0), tol: float = 1e-3, p: float = 2.0,
-                         stop=None, minimize_fn=None,
-                         max_expansions: int = 60) -> MorozovResult:
+                         stop=None, minimize_fn=None) -> MorozovResult:
     """Bisection on log(alpha) targeting the per-level residual band.
 
     Requires the residual at the projected prior to exceed the upper band
     edge (otherwise ``no-upper-bracket``).  The bracket is expanded by
-    factors of 10 before bisecting; ``tol`` bounds the final log10 bracket
-    width.  Budget exhaustion without a band hit reports ``exhausted`` with
-    the closest achieved residual; a collapsed bracket whose residuals
-    straddle the whole band signals a residual jump.  Each minimization
-    starts from the previous one's result.
+    factors of 10, at most 60 times per side, before bisecting; ``tol``
+    bounds the final log10 bracket width.  Budget exhaustion without a band
+    hit reports ``exhausted`` with the closest achieved residual, taken at
+    the last alpha reaching it; a collapsed bracket whose residuals straddle
+    the whole band signals a residual jump, and the result then names the
+    collapse point.  Each minimization starts from the previous one's result.
     """
     if delta < 0.0 or gamma_m < 0.0:
         raise ValueError("delta and gamma_m must be non-negative")
@@ -189,7 +179,7 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
     sol = residual_at(lo)
     if target_lo <= sol.residual <= target_hi:
         return result(lo, sol, "in-band")
-    for _ in range(max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         if sol.residual < target_lo:
             break
         lo /= 10.0
@@ -204,7 +194,7 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
     sol_hi = residual_at(hi)
     if target_lo <= sol_hi.residual <= target_hi:
         return result(hi, sol_hi, "in-band")
-    for _ in range(max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         if sol_hi.residual > target_hi:
             break
         hi *= 10.0
@@ -220,7 +210,8 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
     def track(alpha, sol):
         nonlocal best_alpha, best_sol
         gap = max(target_lo - sol.residual, sol.residual - target_hi, 0.0)
-        if best_sol is None or gap < best_sol[1]:
+        # on equal gaps the later alpha wins, being nearer the collapse point
+        if best_sol is None or gap <= best_sol[1]:
             best_alpha, best_sol = alpha, (sol, gap)
 
     track(lo, cache[lo])
@@ -244,40 +235,14 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
     return result(best_alpha, best_sol[0], "exhausted", detail=detail)
 
 
-def select_level(ladder: Ladder, gammas, delta: float, band: DiscrepancyBand,
-                 order: str = "coarse-to-fine") -> int:
-    """First level (in the configured order) whose image gap meets the bound.
-
-    The bound is (lambda / tau2 - 1) * delta; a level selected this way keeps
-    its per-level band inside [tau * delta, lambda * delta].
-    """
-    gammas = list(gammas)
-    if len(gammas) != len(ladder.levels):
-        raise ValueError(f"expected {len(ladder.levels)} gamma values, got {len(gammas)}")
-    bound = (band.lam / band.tau2 - 1.0) * delta
-    indices = _level_order(len(gammas), order)
-    for idx in indices:
-        if gammas[idx] <= bound:
-            return idx
-    raise LevelSelectionError(bound, min(gammas))
-
-
-def _level_order(n: int, order: str):
-    if order == "coarse-to-fine":
-        return range(n)
-    if order == "fine-to-coarse":
-        return range(n - 1, -1, -1)
-    raise ValueError(f"unknown level order {order!r}")
-
-
 def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBand,
                              delta: float, tol: float = 1e-3, *, penalty: Penalty,
-                             gammas=None, order: str = "coarse-to-fine", p: float = 2.0,
+                             gammas=None, p: float = 2.0,
                              alpha_bracket=(1e-4, 1.0), stop=None,
                              minimize_fn=None) -> MorozovResult:
     """Joint (level, alpha) selection by the relaxed discrepancy principle.
 
-    Levels are scanned in the configured order; levels whose known image gap
+    Levels are scanned coarse to fine; levels whose known image gap
     exceeds (lambda / tau2 - 1) * delta are skipped.  At each candidate level
     the per-level alpha search runs with tau1 = tau; a result is accepted
     when its residual lies in [tau * delta, lambda * delta].  If every level
@@ -288,7 +253,7 @@ def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBan
     bound = (band.lam / band.tau2 - 1.0) * delta
     notes = []
     best = None
-    for idx in _level_order(len(ladder.levels), order):
+    for idx in range(len(ladder.levels)):
         gamma = 0.0 if gammas is None else float(gammas[idx])
         if gammas is not None and gamma > bound:
             notes.append(f"level {idx}: skipped, gamma {gamma:.3e} > bound {bound:.3e}")

@@ -31,15 +31,6 @@ class ConfigError(ValueError):
     """Configuration problem; the message names the section/key at fault."""
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float_list(text: str) -> tuple:
     items = [t.strip() for t in text.split(",") if t.strip()]
     return tuple(float(t) for t in items)
@@ -89,7 +80,6 @@ _SCHEMAS = {
         **_COMMON,
         "noise": {
             "std": (float, 0.01),
-            "redraw_per_mesh": (_parse_bool, False),
         },
         "grids": {
             "fine_dtau": (float, 0.0025),
@@ -104,7 +94,6 @@ _SCHEMAS = {
             "dy_list": (_parse_float_list,
                         (0.25, 0.22, 0.20, 0.17, 0.15, 0.13, 0.11, 0.1, 0.05,
                          0.04, 0.02, 0.01)),
-            "pairing": (_parse_choice("zipped", "crossed"), "zipped"),
         },
         "pde": {
             "b": (float, 0.03),
@@ -185,8 +174,6 @@ class ExperimentConfig:
 
 
 def _format_value(val) -> str:
-    if isinstance(val, bool):
-        return "true" if val else "false"
     if isinstance(val, tuple):
         return ", ".join(_format_value(v) for v in val)
     if isinstance(val, float):
@@ -253,9 +240,9 @@ def _validate_semantics(cfg: ExperimentConfig, source: str) -> None:
         meshes = cfg.get("coefficient_meshes", "dtau_list"), cfg.get("coefficient_meshes", "dy_list")
         if not meshes[0] or not meshes[1]:
             raise ConfigError(f"{source}: coefficient mesh lists must be non-empty")
-        if cfg.get("coefficient_meshes", "pairing") == "zipped" and len(meshes[0]) != len(meshes[1]):
-            raise ConfigError(f"{source}: zipped pairing needs equally long dtau/dy lists "
-                              f"({len(meshes[0])} vs {len(meshes[1])})")
+        if len(meshes[0]) != len(meshes[1]):
+            raise ConfigError(f"{source}: dtau_list and dy_list are zipped and need equal "
+                              f"lengths ({len(meshes[0])} vs {len(meshes[1])})")
         if not 0.0 < cfg.get("pde", "a_min") <= cfg.get("pde", "a_max"):
             raise ConfigError(f"{source}: need 0 < a_min <= a_max")
         if not cfg.get("pde", "a_min") <= cfg.get("pde", "a0") <= cfg.get("pde", "a_max"):
@@ -264,6 +251,10 @@ def _validate_semantics(cfg: ExperimentConfig, source: str) -> None:
             raise ConfigError(f"{source}: [noise] std must be non-negative")
         if any(isinstance(a, float) and a < 0.0 for a in cfg.get("alphas", "values")):
             raise ConfigError(f"{source}: alpha values must be non-negative")
+        if cfg.get("optimize", "max_iters") < 1:
+            raise ConfigError(f"{source}: [optimize] max_iters must be >= 1")
+        if not cfg.get("optimize", "rel_residual_tol") > 0.0:
+            raise ConfigError(f"{source}: [optimize] rel_residual_tol must be positive")
     if cfg.kind == "linear-oracle":
         if cfg.get("oracle", "n_max") < 2:
             raise ConfigError(f"{source}: [oracle] n_max must be >= 2")
@@ -272,6 +263,13 @@ def _validate_semantics(cfg: ExperimentConfig, source: str) -> None:
     if cfg.kind == "rate-study":
         if len(cfg.get("rates", "deltas")) < 3:
             raise ConfigError(f"{source}: a rate study needs at least 3 noise levels")
+    if cfg.kind == "sequential-demo":
+        if not cfg.get("sequential", "tau_tilde") > 1.0:
+            raise ConfigError(f"{source}: [sequential] tau_tilde must exceed 1")
+        if not cfg.get("sequential", "alpha0") > 0.0:
+            raise ConfigError(f"{source}: [sequential] alpha0 must be positive")
+        if not 0.0 < cfg.get("sequential", "q") < 1.0:
+            raise ConfigError(f"{source}: [sequential] q must lie in (0, 1)")
     if cfg.get("experiment", "workers") < 1:
         raise ConfigError(f"{source}: workers must be >= 1")
 

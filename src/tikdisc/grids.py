@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Surface",
-    "vector",
     "constant_surface",
     "interpolate",
     "interpolate_adjoint",
@@ -117,19 +116,6 @@ class Grid:
         y0, y1 = map(float, y_span)
         return cls(int(nt), int(ny), (t1 - t0) / (int(nt) - 1), (y1 - y0) / (int(ny) - 1), t0, y0)
 
-    def refined(self, factor: int = 2) -> "Grid":
-        """Grid with each step divided by ``factor`` (same extents, nested nodes)."""
-        if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
-        return Grid(
-            (self.nt - 1) * factor + 1,
-            (self.ny - 1) * factor + 1,
-            self.dt / factor,
-            self.dy / factor,
-            self.t_min,
-            self.y_min,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Surface:
@@ -177,16 +163,6 @@ class Surface:
 
     def __neg__(self):
         return Surface(self.grid, -self.values)
-
-
-def vector(entries) -> np.ndarray:
-    """Validated coordinate vector: 1-d float array with finite entries."""
-    arr = np.array(entries, dtype=float, copy=True)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("vector entries must be finite")
-    return arr
 
 
 def constant_surface(grid: Grid, value: float) -> Surface:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grids import Grid, Surface, clamp, interpolate, norm
 
-__all__ = ["Ladder", "project", "gamma_m", "phi_m", "holder_gamma_bounds"]
+__all__ = ["Ladder", "project", "gamma_m", "phi_m"]
 
 _NEST_TOL = 1e-9
 
@@ -67,16 +67,9 @@ class Ladder:
         return len(self.levels)
 
     @classmethod
-    def coordinate(cls, dims, bounds=None, nested=True) -> "Ladder":
-        return cls(tuple(dims), nested=nested, bounds=bounds)
-
-    @classmethod
-    def grid_refinement(cls, coarsest: Grid, n_levels: int, bounds=None) -> "Ladder":
-        """Factor-2 nested refinement family starting from ``coarsest``."""
-        grids = [coarsest]
-        for _ in range(n_levels - 1):
-            grids.append(grids[-1].refined(2))
-        return cls(tuple(grids), nested=True, bounds=bounds)
+    def coordinate(cls, dims, bounds=None) -> "Ladder":
+        """Nested family of leading-coordinate subspaces of the given dimensions."""
+        return cls(tuple(dims), bounds=bounds)
 
     @classmethod
     def free_grids(cls, grids, bounds=None) -> "Ladder":
@@ -145,14 +138,3 @@ def phi_m(ladder: Ladder, level: int, xdagger) -> float:
     """Domain projection gap ||x' - P_m x'|| at the level."""
     px = _prolong_like(project(ladder, level, xdagger), xdagger)
     return norm(xdagger - px)
-
-
-def holder_gamma_bounds(ck: float, exponent: float, projection_gaps) -> list[float]:
-    """Surrogate image-gap bounds ck * gap**exponent for user-supplied gaps.
-
-    Useful when the true solution (and hence the exact image gap) is unknown
-    but the forward operator is Hoelder continuous with known constants.
-    """
-    if ck < 0.0 or exponent <= 0.0:
-        raise ValueError("need ck >= 0 and exponent > 0")
-    return [float(ck) * float(g) ** float(exponent) for g in projection_gaps]

@@ -117,7 +117,7 @@ def closed_form_solution(model, ydelta, cfg, ladder=None, level=None, x_start=No
     )
 
 
-def make_ladder_model(n: int, m_levels: int, seed: int, condition=None, identity=False):
+def make_ladder_model(n: int, m_levels: int, seed: int, condition=None):
     """Random well-conditioned instance plus a nested coordinate ladder.
 
     The condition number is drawn log-uniformly in [2, 100] unless given;
@@ -128,17 +128,14 @@ def make_ladder_model(n: int, m_levels: int, seed: int, condition=None, identity
     if n < 1 or m_levels < 1 or m_levels > n:
         raise ValueError("need 1 <= m_levels <= n")
     rng = np.random.default_rng(seed)
-    if identity:
-        a = np.eye(n)
-    else:
-        cond = float(condition) if condition is not None else float(np.exp(rng.uniform(np.log(2.0), np.log(100.0))))
-        if cond > 100.0:
-            raise ValueError("condition bound is 100")
-        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        smax = 2.0
-        sigma = np.geomspace(smax, smax / cond, n)
-        a = u @ np.diag(sigma) @ v.T
+    cond = float(condition) if condition is not None else float(np.exp(rng.uniform(np.log(2.0), np.log(100.0))))
+    if cond > 100.0:
+        raise ValueError("condition bound is 100")
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    smax = 2.0
+    sigma = np.geomspace(smax, smax / cond, n)
+    a = u @ np.diag(sigma) @ v.T
     x_true = rng.standard_normal(n)
     dims = sorted({int(np.ceil(n * (i + 1) / m_levels)) for i in range(m_levels)})
     ladder = Ladder.coordinate(tuple(dims))

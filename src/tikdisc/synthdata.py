@@ -21,11 +21,10 @@ per call; concurrent calls with distinct seeds are independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .grids import Grid, Surface, fmt, interpolate, load_surface, save_surface
+from .grids import Grid, Surface, interpolate
 from .pde import PdeParams, solve_forward
 
 __all__ = [
@@ -34,28 +33,19 @@ __all__ = [
     "simpson_2d",
     "simpson_axis_weights",
     "estimate_noise_level",
-    "save_dataset",
-    "load_dataset",
 ]
 
 
 @dataclass(frozen=True)
 class NoisyDataset:
-    """Noisy coarse-grid data with its clean fine-grid reference."""
+    """Noisy coarse-grid data and its estimated noise level."""
 
     u_delta: Surface
-    u_clean_fine: Surface
     delta: float
-    seed: int
-    noise_std: float
-    fine_grid: Grid
-    coarse_grid: Grid
 
     def __post_init__(self):
         if self.delta < 0.0:
             raise ValueError("delta must be non-negative")
-        if self.u_delta.grid != self.coarse_grid:
-            raise ValueError("u_delta must live on the coarse grid")
 
 
 def simpson_axis_weights(n: int, h: float) -> tuple[np.ndarray, bool]:
@@ -110,45 +100,5 @@ def generate_data(a_true: Surface, params: PdeParams, fine: Grid, coarse: Grid,
     u_noisy = Surface(fine, u_clean.values + noise)
     u_delta = interpolate(u_noisy, coarse)
     delta = estimate_noise_level(u_clean, u_delta)
-    return NoisyDataset(u_delta=u_delta, u_clean_fine=u_clean, delta=delta, seed=seed,
-                        noise_std=noise_std, fine_grid=fine, coarse_grid=coarse)
+    return NoisyDataset(u_delta=u_delta, delta=delta)
 
-
-def save_dataset(dataset: NoisyDataset, directory) -> None:
-    """Persist a dataset as u_delta.txt, u_clean.txt, and meta.txt key=value lines."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_surface(dataset.u_delta, directory / "u_delta.txt")
-    save_surface(dataset.u_clean_fine, directory / "u_clean.txt")
-    with open(directory / "meta.txt", "w") as fh:
-        fh.write(f"seed = {dataset.seed}\n")
-        fh.write(f"noise_std = {fmt(dataset.noise_std)}\n")
-        fh.write(f"delta = {fmt(dataset.delta)}\n")
-        for label, g in ("fine_grid", dataset.fine_grid), ("coarse_grid", dataset.coarse_grid):
-            fh.write(f"{label} = {g.nt} {g.ny} {fmt(g.dt)} {fmt(g.dy)} {fmt(g.t_min)} {fmt(g.y_min)}\n")
-
-
-def load_dataset(directory) -> NoisyDataset:
-    directory = Path(directory)
-    u_delta = load_surface(directory / "u_delta.txt")
-    u_clean = load_surface(directory / "u_clean.txt")
-    meta = {}
-    with open(directory / "meta.txt") as fh:
-        for line in fh:
-            if "=" in line:
-                key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
-
-    def grid_of(text: str) -> Grid:
-        parts = text.split()
-        return Grid(int(parts[0]), int(parts[1]), *(float(v) for v in parts[2:]))
-
-    return NoisyDataset(
-        u_delta=u_delta,
-        u_clean_fine=u_clean,
-        delta=float(meta["delta"]),
-        seed=int(meta["seed"]),
-        noise_std=float(meta["noise_std"]),
-        fine_grid=grid_of(meta["fine_grid"]),
-        coarse_grid=grid_of(meta["coarse_grid"]),
-    )

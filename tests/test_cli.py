@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from tikdisc.cli import ERROR_HEADER, RESIDUAL_HEADER, main
 from tikdisc.expconfig import ConfigError, parse_config_text, resolve_alphas
 from tikdisc.grids import load_surface
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINI_SWEEP = """
 [experiment]
@@ -115,12 +120,30 @@ class TestCliVerbs:
         ("linear-oracle", "oracle", "alpha_min = 0", "alpha_min"),
         ("linear-oracle", "oracle", "alpha_min = 10\nalpha_max = 1", "alpha_min"),
         ("pde-sweep", "optimize", "c1 = 1e-8", "c1"),
+        ("pde-sweep", "optimize", "max_iters = 0", "max_iters"),
+        ("pde-sweep", "optimize", "rel_residual_tol = 0", "rel_residual_tol"),
+        ("pde-sweep", "noise", "redraw_per_mesh = false", "redraw_per_mesh"),
+        ("sequential-demo", "sequential", "q = 1.5", "q"),
+        ("sequential-demo", "sequential", "tau_tilde = 1.0", "tau_tilde"),
+        ("sequential-demo", "sequential", "alpha0 = 0", "alpha0"),
     ])
     def test_rejected_value_exit_2_names_key(self, tmp_path, capsys, kind, section, lines, key):
         path = tmp_path / "bad.cfg"
         path.write_text(f"[experiment]\nkind = {kind}\n[{section}]\n{lines}\n")
         assert main(["validate", str(path)]) == 2
-        assert key in capsys.readouterr().err
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_validates(self, path):
+        assert main(["validate", str(path)]) == 0
+
+    def test_removed_key_in_shipped_config_exit_2(self, tmp_path, capsys):
+        text = (CONFIGS / "paper_sweep.cfg").read_text()
+        path = tmp_path / "paper_sweep.cfg"
+        path.write_text(text.replace("[coefficient_meshes]\n",
+                                     "[coefficient_meshes]\npairing = zipped\n"))
+        assert main(["validate", str(path)]) == 2
+        assert "'pairing'" in capsys.readouterr().err
 
     def test_sequential_demo_outputs(self, tmp_path):
         cfg = _write(tmp_path, SEQUENTIAL)
@@ -245,27 +268,6 @@ deltas = 1e3, 1e2, 1e1
     assert main(["rates", str(cfg)]) == 3
     assert not (tmp_path / "run" / "rates.csv").exists()
     assert "exhausted" in (tmp_path / "run" / "summary.txt").read_text()
-
-
-def test_crossed_pairing_row_count(tmp_path):
-    text = """
-[experiment]
-kind = pde-sweep
-seed = 1
-out = {out}
-
-[coefficient_meshes]
-dtau_list = 0.1, 0.05
-dy_list = 0.25, 0.2
-pairing = crossed
-
-[alphas]
-values = 0.01, delta
-"""
-    cfg = _write(tmp_path, text)
-    assert main(["run", str(cfg)]) == 0
-    rows = (tmp_path / "run" / "residual.csv").read_text().splitlines()
-    assert len(rows) == 1 + 4  # 2 x 2 crossed meshes
 
 
 def test_cli_determinism_bitwise(tmp_path):

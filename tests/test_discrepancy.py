@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tikdisc.discrepancy import (DiscrepancyBand, LevelSelectionError, SearchExhaustedError,
-                                 check_band, joint_discrepancy_search, morozov_alpha_search,
-                                 select_level, sequential_discrepancy)
+from tikdisc.discrepancy import (DiscrepancyBand, SearchExhaustedError, check_band,
+                                 joint_discrepancy_search, morozov_alpha_search,
+                                 sequential_discrepancy)
 from tikdisc.ladder import Ladder, gamma_m
 from tikdisc.linear import LinearModel, closed_form_minimizer, closed_form_solution
 from tikdisc.optimize import RegularizedSolution
@@ -145,6 +145,8 @@ class TestAlphaSearch:
         assert res.status == "exhausted"
         assert "residual jump" in res.detail
         assert res.minimizations == minimizations
+        # the reported alpha is the collapse point, not the lower bracket end
+        assert 0.01 * 10 ** -max(tol, 1e-12) <= res.alpha < 0.01
 
     def test_bad_bracket_rejected_before_prior_check(self):
         band = DiscrepancyBand(tau=1.1, lam=1.6, tau1=1.1, tau2=1.5)
@@ -155,32 +157,38 @@ class TestAlphaSearch:
 
 
 class TestSelectLevel:
+    """Level choice of the joint search: the first level, coarse to fine,
+    whose image gap meets the bound (lambda / tau2 - 1) * delta."""
+
     def test_bound_example(self):
         band = DiscrepancyBand(tau=1.05, lam=1.125, tau2=1.075)
         gammas = [2.0 ** (-m) for m in range(1, 13)]
         ladder = Ladder.coordinate(tuple(range(2, 14)))
-        idx = select_level(ladder, gammas, delta=0.1, band=band)
+        model = LinearModel(np.eye(13), np.eye(13)[0])
+        res = joint_discrepancy_search(model, model.y, ladder, band, delta=0.1,
+                                       penalty=Penalty("quadratic", np.zeros(13)),
+                                       gammas=gammas, minimize_fn=closed_form_solution)
         # bound = (1.125/1.075 - 1)*0.1 = 0.0046512; first 2^-m below it is m = 8
-        assert gammas[idx] == 2.0 ** (-8)
+        assert res.status == "in-band"
+        assert gammas[res.level] == 2.0 ** (-8)
 
     def test_zero_gamma_selects_first(self):
         band = DiscrepancyBand(tau=1.05, lam=1.125)
-        ladder = Ladder.coordinate((1, 2))
-        assert select_level(ladder, [0.0, 0.0], delta=0.1, band=band) == 0
+        res = joint_discrepancy_search(IDENTITY, YD, Ladder.coordinate((1, 2)), band,
+                                       delta=0.1, penalty=PEN, gammas=[0.0, 0.0],
+                                       minimize_fn=closed_form_solution)
+        assert res.status == "in-band"
+        assert res.level == 0
 
     def test_not_found_signal(self):
         band = DiscrepancyBand(tau=1.05, lam=1.125, tau2=1.075)
-        ladder = Ladder.coordinate((1, 2))
-        with pytest.raises(LevelSelectionError) as err:
-            select_level(ladder, [5.0, 4.0], delta=0.1, band=band)
-        assert err.value.best_gamma == 4.0
-
-    def test_fine_to_coarse_order(self):
-        band = DiscrepancyBand(tau=1.05, lam=1.125)
-        ladder = Ladder.coordinate((1, 2, 3))
-        idx = select_level(ladder, [0.0, 0.0, 0.0], delta=0.1, band=band,
-                           order="fine-to-coarse")
-        assert idx == 2
+        res = joint_discrepancy_search(IDENTITY, YD, Ladder.coordinate((1, 2)), band,
+                                       delta=0.1, penalty=PEN, gammas=[5.0, 4.0],
+                                       minimize_fn=closed_form_solution)
+        assert res.status == "exhausted"
+        assert res.level == -1 and res.solution is None
+        assert "level 0: skipped, gamma 5.000e+00" in res.detail
+        assert "level 1: skipped, gamma 4.000e+00" in res.detail
 
 
 class TestJointSearch:

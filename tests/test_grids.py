@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tikdisc.grids import (Grid, Surface, clamp, constant_surface, inner, interpolate,
                            interpolate_adjoint, load_surface, norm, save_surface,
-                           transfer_matrices, vector)
+                           transfer_matrices)
 
 
 def test_grid_extent_consistency():
@@ -35,15 +35,6 @@ def test_surface_rejects_nonfinite_and_shape_mismatch():
         Surface(g, np.full(g.shape, np.nan))
     with pytest.raises(ValueError, match="shape"):
         Surface(g, np.zeros((4, 3)))
-
-
-def test_vector_validation():
-    v = vector([1.0, 2.0, 3.0])
-    assert v.dtype == float
-    with pytest.raises(ValueError):
-        vector([1.0, np.inf])
-    with pytest.raises(ValueError):
-        vector([[1.0, 2.0]])
 
 
 def test_norm_trapezoid_area():

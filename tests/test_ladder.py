@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from tikdisc.grids import Grid, Surface, constant_surface
-from tikdisc.ladder import Ladder, gamma_m, holder_gamma_bounds, phi_m, project
+from tikdisc.ladder import Ladder, gamma_m, phi_m, project
 from tikdisc.linear import LinearModel
+
+# nested factor-2 refinements of the same domain
+NESTED_GRIDS = (Grid.from_counts(3, 3), Grid.from_counts(5, 5), Grid.from_counts(9, 9))
 
 
 def test_coordinate_projection_example():
@@ -20,7 +23,7 @@ def test_projection_idempotent_bitwise():
         once = project(lad, level, x)
         assert np.array_equal(project(lad, level, once), once)
 
-    grid_lad = Ladder.grid_refinement(Grid.from_counts(3, 3), 3, bounds=(0.0, 1.0))
+    grid_lad = Ladder(NESTED_GRIDS, bounds=(0.0, 1.0))
     u = Surface(grid_lad.levels[-1], np.random.default_rng(0).uniform(-1, 2, (9, 9)))
     for level in range(3):
         once = project(grid_lad, level, u)
@@ -29,7 +32,7 @@ def test_projection_idempotent_bitwise():
 
 
 def test_grid_projection_preserves_constants():
-    lad = Ladder.grid_refinement(Grid.from_counts(3, 5), 3)
+    lad = Ladder(NESTED_GRIDS)
     fine = lad.levels[-1]
     u = constant_surface(fine, 0.08)
     for level in range(3):
@@ -47,7 +50,7 @@ def test_nested_composition():
             b = project(lad, m, x)
             assert np.allclose(a, b, atol=1e-12)
 
-    glad = Ladder.grid_refinement(Grid.from_counts(3, 3), 3)
+    glad = Ladder(NESTED_GRIDS)
     u = Surface(glad.levels[-1], rng.standard_normal((9, 9)))
     for m in range(3):
         for mp in range(m, 3):
@@ -109,12 +112,12 @@ def test_gamma_phi_monotone_on_nested_ladders():
 
 
 def test_phi_monotone_smooth_surface_on_grid_ladder():
-    lad = Ladder.grid_refinement(Grid.from_counts(3, 3), 4)
+    lad = Ladder(NESTED_GRIDS)
     fine = lad.levels[-1]
     tt = fine.t_nodes()[:, None]
     yy = fine.y_nodes()[None, :]
     smooth = Surface(fine, np.sin(tt) * np.exp(-0.1 * yy ** 2))
-    phis = [phi_m(lad, i, smooth) for i in range(4)]
+    phis = [phi_m(lad, i, smooth) for i in range(3)]
     for a, b in zip(phis, phis[1:]):
         assert b <= a + 1e-12
     assert phis[-1] == pytest.approx(0.0, abs=1e-14)
@@ -125,8 +128,3 @@ def test_projection_lands_in_box():
     p = project(lad, 0, np.array([-5.0, 0.5, 9.0]))
     assert p.min() >= 0.0 and p.max() <= 1.0
 
-
-def test_holder_gamma_bounds():
-    assert holder_gamma_bounds(2.0, 1.5, [1.0, 0.25]) == [2.0, 0.25]
-    with pytest.raises(ValueError):
-        holder_gamma_bounds(-1.0, 1.0, [1.0])

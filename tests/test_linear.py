@@ -34,11 +34,6 @@ def test_make_ladder_model_deterministic():
     assert l1.levels == l2.levels
 
 
-def test_make_ladder_model_identity_option():
-    model, _ = make_ladder_model(5, 2, seed=0, identity=True)
-    assert np.array_equal(model.matrix, np.eye(5))
-
-
 def test_condition_bound_by_svd():
     for seed in range(20):
         model, _ = make_ladder_model(8, 2, seed=seed)

@@ -7,15 +7,11 @@ from tikdisc.penalties import Penalty, penalty_subgradient, penalty_value
 GRID = Grid.from_counts(9, 13)
 
 
-def _sample(kind, rng):
-    if kind == "kullback-leibler":
-        return Surface(GRID, np.exp(rng.uniform(-1.0, 1.0, GRID.shape)))
+def _sample(rng):
     return Surface(GRID, rng.standard_normal(GRID.shape))
 
 
 def _penalty(kind):
-    if kind == "kullback-leibler":
-        return Penalty(kind, constant_surface(GRID, 1.0))
     if kind == "weighted-h1":
         return Penalty(kind, constant_surface(GRID, 0.0), beta1=0.5,
                        beta2=0.25 * GRID.dy, beta3=0.25 * GRID.dt)
@@ -30,7 +26,7 @@ def test_quadratic_vector_example():
 
 
 def test_value_zero_at_prior_every_kind():
-    for kind in ("quadratic", "weighted-h1", "kullback-leibler"):
+    for kind in ("quadratic", "weighted-h1"):
         pen = _penalty(kind)
         assert penalty_value(pen, pen.x0) == 0.0
 
@@ -48,10 +44,10 @@ def test_h1_constant_field_quadrature_oracle():
 
 def test_positivity_and_zero_iff_prior_1000_samples():
     rng = np.random.default_rng(42)
-    for kind in ("quadratic", "weighted-h1", "kullback-leibler"):
+    for kind in ("quadratic", "weighted-h1"):
         pen = _penalty(kind)
         for _ in range(1000):
-            x = _sample(kind, rng)
+            x = _sample(rng)
             v = penalty_value(pen, x)
             assert v >= 0.0
             same = np.array_equal(x.values, (pen.x0.values if isinstance(pen.x0, Surface)
@@ -62,39 +58,21 @@ def test_positivity_and_zero_iff_prior_1000_samples():
 
 def test_convexity_spot_check():
     rng = np.random.default_rng(7)
-    for kind in ("quadratic", "weighted-h1", "kullback-leibler"):
+    for kind in ("quadratic", "weighted-h1"):
         pen = _penalty(kind)
         for _ in range(50):
-            u, v = _sample(kind, rng), _sample(kind, rng)
+            u, v = _sample(rng), _sample(rng)
             mid = Surface(GRID, 0.5 * (u.values + v.values))
             lhs = penalty_value(pen, mid)
             rhs = 0.5 * (penalty_value(pen, u) + penalty_value(pen, v))
             assert lhs <= rhs + 1e-10
 
 
-def test_kl_rejects_nonpositive_with_location():
-    pen = _penalty("kullback-leibler")
-    bad = np.ones(GRID.shape)
-    bad[3, 5] = -0.2
-    with pytest.raises(ValueError, match=r"\(3, 5\)"):
-        penalty_value(pen, Surface(GRID, bad))
-
-
-def test_kl_vector_mode():
-    pen = Penalty("kullback-leibler", np.array([1.0, 2.0]))
-    x = np.array([2.0, 2.0])
-    expected = 2.0 * np.log(2.0) - 2.0 + 1.0
-    assert penalty_value(pen, x) == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(penalty_subgradient(pen, x), [np.log(2.0), 0.0])
-
-
-@pytest.mark.parametrize("kind", ["quadratic", "weighted-h1", "kullback-leibler"])
+@pytest.mark.parametrize("kind", ["quadratic", "weighted-h1"])
 def test_subgradient_matches_finite_differences(kind):
     rng = np.random.default_rng(3)
     pen = _penalty(kind)
-    x = _sample(kind, rng)
-    if kind == "kullback-leibler":
-        x = Surface(GRID, x.values + 1.5)  # keep x - eps*h positive
+    x = _sample(rng)
     g = penalty_subgradient(pen, x)
     for _ in range(5):
         h = Surface(GRID, rng.standard_normal(GRID.shape))
@@ -118,3 +96,5 @@ def test_weighted_h1_needs_surfaces():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown penalty kind"):
         Penalty("tv", np.zeros(2))
+    with pytest.raises(ValueError, match="unknown penalty kind"):
+        Penalty("kullback-leibler", np.ones(2))

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from tikdisc.grids import Grid, Surface, constant_surface, interpolate
 from tikdisc.pde import PdeParams, true_coefficient
-from tikdisc.synthdata import (estimate_noise_level, generate_data, load_dataset,
-                               save_dataset, simpson_2d, simpson_axis_weights)
+from tikdisc.synthdata import (estimate_noise_level, generate_data, simpson_2d,
+                               simpson_axis_weights)
 
 PARAMS = PdeParams()
 FINE = Grid.from_steps(0.0025, 0.01)
@@ -111,17 +111,6 @@ class TestGenerateData:
                   for s in range(50)]
         assert all(abs(d / target - 1.0) < 0.15 for d in deltas)
         assert abs(np.mean(deltas) / target - 1.0) < 0.05
-
-
-def test_dataset_roundtrip_bitwise(tmp_path):
-    ds = generate_data(true_coefficient(FINE), PARAMS, FINE, COARSE, noise_std=0.01, seed=5)
-    save_dataset(ds, tmp_path / "data")
-    back = load_dataset(tmp_path / "data")
-    assert np.array_equal(back.u_delta.values, ds.u_delta.values)
-    assert np.array_equal(back.u_clean_fine.values, ds.u_clean_fine.values)
-    assert back.delta == ds.delta
-    assert back.seed == ds.seed and back.noise_std == ds.noise_std
-    assert back.fine_grid == ds.fine_grid and back.coarse_grid == ds.coarse_grid
 
 
 @settings(max_examples=25, deadline=None)
