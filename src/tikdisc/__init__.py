@@ -9,8 +9,8 @@ from .grids import (Grid, Surface, clamp, constant_surface, inner, interpolate,
                     load_surface, norm, save_surface)
 from .ladder import Ladder, gamma_m, phi_m, project
 from .linear import LinearModel, closed_form_minimizer, closed_form_solution, make_ladder_model
-from .optimize import (RegularizedSolution, StopRule, initial_step, minimize_misfit,
-                       minimize_tikhonov, wolfe_line_search)
+from .optimize import (RegularizedSolution, StopRule, minimize_misfit, minimize_tikhonov,
+                       wolfe_line_search)
 from .pde import (CnSystem, ParabolicModel, PdeParams, initial_condition, solve_forward,
                   true_coefficient, true_sigma)
 from .penalties import PENALTY_KINDS, Penalty, penalty_subgradient, penalty_value

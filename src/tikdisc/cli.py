@@ -130,7 +130,7 @@ def _sweep_cell(payload):
                   beta1=pen_vals["beta1"],
                   beta2=pen_vals["beta2_per_dy"] * mesh.dy,
                   beta3=pen_vals["beta3_per_dtau"] * mesh.dt)
-    ladder = Ladder.free_grids((mesh,), bounds=(pde_vals["a_min"], pde_vals["a_max"]))
+    ladder = Ladder.free_grids((mesh,))
     stop = StopRule(discrepancy_band=(band_lo, band_hi),
                     max_iters=opt_vals["max_iters"],
                     rel_residual_tol=opt_vals["rel_residual_tol"])
@@ -288,8 +288,6 @@ def run_rate_study(cfg: ExperimentConfig) -> int:
     x_true = rng.standard_normal(n)
     model = LinearModel(matrix, x_true, name="linear-spd")
     levels = tuple(int(l) for l in r["levels"])
-    if levels[-1] != n:
-        raise ConfigError("the finest rate-study level must equal n")
     ladder = Ladder.coordinate(levels)
     pen = Penalty("quadratic", np.zeros(n))
     gammas = [gamma_m(ladder, i, model, x_true) for i in range(len(levels))]

@@ -6,7 +6,7 @@ the plain L2 error, and the per-level projection gaps; log-log slopes are
 fitted per column by least squares.  With the discrepancy band active the
 residual column is pinched between tau*delta and lambda*delta, so its slope
 sits near 1; under a range-type source condition the Bregman column decays
-like delta.  The remaining columns (alpha, delta^p/alpha, eta_m, phi_m) are
+like delta.  The remaining columns (alpha, delta^2/alpha, eta_m, phi_m) are
 reported so the combined error bound driving those rates can be inspected
 trend-wise; no attempt is made to estimate its unobservable constants.
 
@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import Surface, fmt, inner, interpolate, norm
-from .ladder import Ladder, phi_m, project
+from .ladder import Ladder, _prolong_like, phi_m, project
 from .penalties import Penalty, penalty_subgradient, penalty_value
 
 __all__ = [
@@ -61,9 +61,7 @@ def l2_error(x, x_true) -> float:
 
 def eta_m(penalty: Penalty, ladder: Ladder, level: int, x_true, xi=None) -> float:
     """Bregman gap of the projected truth: D_xi(P_m x_true, x_true)."""
-    px = project(ladder, level, x_true)
-    if isinstance(px, Surface) and px.grid != x_true.grid:
-        px = interpolate(px, x_true.grid)
+    px = _prolong_like(project(ladder, level, x_true), x_true)
     return bregman_distance(penalty, px, x_true, xi=xi)
 
 
@@ -99,12 +97,13 @@ def _loglog_slope(x, y) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def rate_table(runs, penalty: Penalty, x_true, ladder: Ladder, p: float = 2.0) -> RateTable:
+def rate_table(runs, penalty: Penalty, x_true, ladder: Ladder) -> RateTable:
     """Assemble per-delta diagnostics from (delta, MorozovResult) pairs.
 
     Needs at least three distinct noise levels for the slope fits.  Fitted
     log-log slopes cover the residual, the Bregman distance, alpha, and
-    delta**p / alpha, each against delta.
+    delta**2 / alpha, each against delta; the last is keyed
+    ``delta_p_over_alpha``.
     """
     runs = list(runs)
     deltas = {float(d) for d, _ in runs}
@@ -130,6 +129,6 @@ def rate_table(runs, penalty: Penalty, x_true, ladder: Ladder, p: float = 2.0) -
         "residual": _loglog_slope(d, [r.residual for r in rows]),
         "bregman": _loglog_slope(d, [r.bregman for r in rows]),
         "alpha": _loglog_slope(d, [r.alpha for r in rows]),
-        "delta_p_over_alpha": _loglog_slope(d, [r.delta ** p / r.alpha for r in rows]),
+        "delta_p_over_alpha": _loglog_slope(d, [r.delta ** 2 / r.alpha for r in rows]),
     }
     return RateTable(rows=tuple(rows), slopes=slopes)

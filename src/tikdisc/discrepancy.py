@@ -125,7 +125,7 @@ def _default_minimize(stop):
 
 def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: DiscrepancyBand,
                          delta: float, *, penalty: Penalty, gamma_m: float = 0.0,
-                         alpha_bracket=(1e-4, 1.0), tol: float = 1e-3, p: float = 2.0,
+                         alpha_bracket=(1e-4, 1.0), tol: float = 1e-3,
                          stop=None, minimize_fn=None) -> MorozovResult:
     """Bisection on log(alpha) targeting the per-level residual band.
 
@@ -164,7 +164,7 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
         nonlocal count
         if alpha in cache:
             return cache[alpha]
-        cfg = TikhonovConfig(alpha=alpha, penalty=penalty, p=p)
+        cfg = TikhonovConfig(alpha=alpha, penalty=penalty)
         sol = run(model, ydelta, cfg, ladder, level, x_start=state["x"])
         state["x"] = sol.x
         count += 1
@@ -237,8 +237,7 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
 
 def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBand,
                              delta: float, tol: float = 1e-3, *, penalty: Penalty,
-                             gammas=None, p: float = 2.0,
-                             alpha_bracket=(1e-4, 1.0), stop=None,
+                             gammas=None, alpha_bracket=(1e-4, 1.0), stop=None,
                              minimize_fn=None) -> MorozovResult:
     """Joint (level, alpha) selection by the relaxed discrepancy principle.
 
@@ -260,7 +259,7 @@ def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBan
             continue
         res = morozov_alpha_search(model, ydelta, ladder, idx, band, delta,
                                    penalty=penalty, gamma_m=gamma, alpha_bracket=alpha_bracket,
-                                   tol=tol, p=p, stop=stop, minimize_fn=minimize_fn)
+                                   tol=tol, stop=stop, minimize_fn=minimize_fn)
         if res.status == "in-band" and check_band(res.solution.residual, delta, band):
             return res
         notes.append(f"level {idx}: {res.status}"
@@ -283,7 +282,7 @@ def _band_gap(res: MorozovResult, delta: float, band: DiscrepancyBand) -> float:
 
 def sequential_discrepancy(model, ydelta, ladder: Ladder, level: int, tau_tilde: float,
                            alpha0: float, q: float, kmax: int, delta: float, *,
-                           penalty: Penalty, p: float = 2.0, stop=None,
+                           penalty: Penalty, stop=None,
                            minimize_fn=None) -> SequentialResult:
     """Geometric alpha sweep alpha_k = q**k * alpha0 stopped at the band edge.
 
@@ -303,7 +302,7 @@ def sequential_discrepancy(model, ydelta, ladder: Ladder, level: int, tau_tilde:
     x_start = None
     for k in range(kmax + 1):
         alpha = (q ** k) * alpha0
-        cfg = TikhonovConfig(alpha=alpha, penalty=penalty, p=p)
+        cfg = TikhonovConfig(alpha=alpha, penalty=penalty)
         sol = run(model, ydelta, cfg, ladder, level, x_start=x_start)
         x_start = sol.x
         trace.append((k, alpha, sol.residual))

@@ -18,6 +18,8 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .discrepancy import DiscrepancyBand
+
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_text",
            "resolve_alphas", "ALPHA_TOKENS"]
 
@@ -220,15 +222,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             else:
                 values[section][key] = default
 
-    band = values.get("band")
-    if band is not None:
-        if band["tau1"] is None:
-            band["tau1"] = band["tau"]
-        if band["tau2"] is None:
-            band["tau2"] = 0.5 * (band["tau1"] + band["lambda"])
-        if not 1.0 < band["tau"] <= band["tau1"] <= band["tau2"] < band["lambda"]:
-            raise ConfigError(f"{source}: band multipliers must satisfy "
-                              "1 < tau <= tau1 <= tau2 < lambda")
+    band = values["band"]
+    try:
+        resolved = DiscrepancyBand(tau=band["tau"], lam=band["lambda"],
+                                   tau1=band["tau1"], tau2=band["tau2"])
+    except ValueError as exc:
+        raise ConfigError(f"{source}: bad [band]: {exc}") from exc
+    band["tau1"], band["tau2"] = resolved.tau1, resolved.tau2
 
     cfg = ExperimentConfig(kind=kind, values=values)
     _validate_semantics(cfg, source)
@@ -261,8 +261,16 @@ def _validate_semantics(cfg: ExperimentConfig, source: str) -> None:
         if not 0.0 < cfg.get("oracle", "alpha_min") <= cfg.get("oracle", "alpha_max"):
             raise ConfigError(f"{source}: [oracle] need 0 < alpha_min <= alpha_max")
     if cfg.kind == "rate-study":
-        if len(cfg.get("rates", "deltas")) < 3:
+        deltas = cfg.get("rates", "deltas")
+        if len(deltas) < 3:
             raise ConfigError(f"{source}: a rate study needs at least 3 noise levels")
+        if not all(d > 0.0 for d in deltas):
+            raise ConfigError(f"{source}: [rates] deltas must all be positive")
+        levels, n = cfg.get("rates", "levels"), cfg.get("rates", "n")
+        if (not levels or levels[0] < 1 or levels[-1] != n
+                or any(a >= b for a, b in zip(levels, levels[1:]))):
+            raise ConfigError(f"{source}: [rates] levels must be >= 1, strictly increasing "
+                              f"and end at n = {n}")
     if cfg.kind == "sequential-demo":
         if not cfg.get("sequential", "tau_tilde") > 1.0:
             raise ConfigError(f"{source}: [sequential] tau_tilde must exceed 1")

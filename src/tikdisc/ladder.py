@@ -8,9 +8,8 @@ Two flavours of level descriptors are supported:
   interpolants from that grid.  A projected surface is stored on the level's
   grid; its identification with the ambient space is bilinear prolongation.
 
-A ladder may carry box bounds: projection then means restrict-then-clamp,
-which is the exact metric projection onto the intersection of the subspace
-with the box.
+A ladder carries no box: the box belongs to the forward model's domain, and
+the descent clamps projected iterates to it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, Surface, clamp, interpolate, norm
+from .grids import Grid, Surface, interpolate, norm
 
 __all__ = ["Ladder", "project", "gamma_m", "phi_m"]
 
@@ -36,7 +35,6 @@ class Ladder:
 
     levels: tuple
     nested: bool = True
-    bounds: "tuple | None" = None
     rule: str = field(init=False)
 
     def __post_init__(self):
@@ -67,14 +65,14 @@ class Ladder:
         return len(self.levels)
 
     @classmethod
-    def coordinate(cls, dims, bounds=None) -> "Ladder":
+    def coordinate(cls, dims) -> "Ladder":
         """Nested family of leading-coordinate subspaces of the given dimensions."""
-        return cls(tuple(dims), bounds=bounds)
+        return cls(tuple(dims))
 
     @classmethod
-    def free_grids(cls, grids, bounds=None) -> "Ladder":
+    def free_grids(cls, grids) -> "Ladder":
         """Arbitrary (not necessarily nested) grid list, e.g. a mesh sweep."""
-        return cls(tuple(grids), nested=False, bounds=bounds)
+        return cls(tuple(grids), nested=False)
 
 
 def _grid_nested(coarse: Grid, fine: Grid) -> bool:
@@ -99,12 +97,12 @@ def _check_level(ladder: Ladder, level: int) -> None:
 
 
 def project(ladder: Ladder, level: int, x):
-    """Projection of x onto the level's subspace intersected with the box.
+    """Projection of x onto the level's subspace.
 
     Coordinate ladders zero the tail coordinates; grid ladders restrict by
     bilinear interpolation onto the level's grid (the result is stored on
-    that grid).  Box bounds, when present, are applied by clamping.
-    Idempotent: projecting a projected element returns it unchanged.
+    that grid).  Idempotent: projecting a projected element returns it
+    unchanged.
     """
     _check_level(ladder, level)
     if ladder.rule == "coordinate":
@@ -114,10 +112,10 @@ def project(ladder: Ladder, level: int, x):
             raise ValueError("coordinate ladders project 1-d vectors")
         if m < arr.size:
             arr[m:] = 0.0
-        return clamp(arr, ladder.bounds)
+        return arr
     if not isinstance(x, Surface):
         raise ValueError("grid ladders project Surface elements")
-    return clamp(interpolate(x, ladder.levels[level]), ladder.bounds)
+    return interpolate(x, ladder.levels[level])
 
 
 def _prolong_like(px, x):

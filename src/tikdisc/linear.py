@@ -54,15 +54,9 @@ class LinearModel:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ _as_float(x)
 
-    def misfit_gradient(self, x, ydelta, p: float = 2.0) -> np.ndarray:
+    def misfit_gradient(self, x, ydelta) -> np.ndarray:
         r = self.matrix @ _as_float(x) - _as_float(ydelta)
-        grad2 = 2.0 * (self.matrix.T @ r)
-        if p == 2.0:
-            return grad2
-        rnorm = float(np.linalg.norm(r))
-        if rnorm == 0.0:
-            return np.zeros_like(grad2)
-        return 0.5 * p * rnorm ** (p - 2.0) * grad2
+        return 2.0 * (self.matrix.T @ r)
 
 
 def closed_form_minimizer(matrix, ydelta, alpha, x0) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Gradient descent with a strong-Wolfe line search for Tikhonov functionals.
 
-The iteration is the classical projected gradient method: at each step the
-negative gradient is searched along with a strong-Wolfe rule (sufficient
-decrease plus curvature), the accepted point is projected back onto the
-level's feasible set, and the run stops on a discrepancy band hit, a
-stagnating residual, a vanishing gradient, or the iteration cap.
+The iteration is the classical projected gradient method.  Each step
+searches the negative gradient once with a strong-Wolfe rule (sufficient
+decrease plus curvature).  The functional is +inf outside the model's box
+and search directions lie in the level's subspace, so an accepted Wolfe
+point is already feasible.  When the Wolfe search fails, the step falls back
+to backtracking along the projected path.  The run stops on a discrepancy
+band hit, a stagnating residual, a vanishing gradient, or the iteration cap.
 
 The first trial step of every search is the ratio of the previous to the
 current squared gradient norm (1 on the first iteration), which acts as a
@@ -38,7 +40,6 @@ from .tikhonov import TikhonovConfig, check_domain
 __all__ = [
     "StopRule",
     "RegularizedSolution",
-    "initial_step",
     "wolfe_line_search",
     "minimize_tikhonov",
     "minimize_misfit",
@@ -102,26 +103,14 @@ class RegularizedSolution:
             raise ValueError("residual must be non-negative")
 
 
-def initial_step(prev_grad_sqnorm, cur_grad_sqnorm) -> float:
-    """First trial step: previous over current squared gradient norm.
-
-    Returns 1.0 on the first iteration (no previous gradient).
-    """
-    if prev_grad_sqnorm is None:
-        return 1.0
-    if not cur_grad_sqnorm > 0.0:
-        raise ValueError("current gradient vanished; the iteration has converged")
-    return float(prev_grad_sqnorm) / float(cur_grad_sqnorm)
-
-
-def wolfe_line_search(f, g, initial_step: float):
+def wolfe_line_search(f, g, t0: float):
     """Strong-Wolfe step along a descent ray; ``None`` on bracket exhaustion.
 
     ``f(t)`` and ``g(t)`` evaluate the restricted functional and its
     derivative; ``g(0) < 0`` is required.  The returned step satisfies both
     the sufficient-decrease and the curvature condition.
     """
-    if not initial_step > 0.0:
+    if not t0 > 0.0:
         raise ValueError("initial step must be positive")
     phi0 = f(0.0)
     dphi0 = g(0.0)
@@ -135,7 +124,7 @@ def wolfe_line_search(f, g, initial_step: float):
     slack = 1e-13 * abs(phi0)
 
     t_prev, phi_prev, dphi_prev = 0.0, phi0, dphi0
-    t = float(initial_step)
+    t = float(t0)
     for i in range(budget):
         phi_t = f(t)
         if not phi_t <= phi0 + c1 * t * dphi0 + slack or (i > 0 and phi_t >= phi_prev + slack):
@@ -182,13 +171,13 @@ def _zoom(lo, phi_lo, dphi_lo, hi, phi_hi, f, g, phi0, dphi0, c1, c2, budget, sl
     return None
 
 
-def _project_factory(model, ladder, level):
+def _project_factory(box, ladder, level):
+    """Metric projection onto the level's subspace intersected with the box."""
     if ladder is not None:
         if level is None:
             raise ValueError("a ladder needs a level index")
-        return lambda z: project(ladder, level, z)
-    bounds = getattr(model, "bounds", None)
-    return lambda z: clamp(z, bounds)
+        return lambda z: clamp(project(ladder, level, z), box)
+    return lambda z: clamp(z, box)
 
 
 def _gradient_restriction(ladder, level):
@@ -209,12 +198,6 @@ def _gradient_restriction(ladder, level):
 
         return restrict
     return None
-
-
-def _same_element(a, b) -> bool:
-    if isinstance(a, Surface):
-        return np.array_equal(a.values, b.values)
-    return np.array_equal(a, b)
 
 
 def _vector_inner(a, b) -> float:
@@ -265,15 +248,15 @@ def _band_landing(x, direction, proj, full_eval, band, t_hi, budget: int = 60):
     return None
 
 
-def minimize_misfit(model, ydelta, p=2.0, ladder=None, level=None, stop=None,
-                    x_start=None, penalty=None, alpha=0.0) -> RegularizedSolution:
-    """Minimize ||F(x) - ydelta||^p (+ alpha * penalty when alpha > 0).
+def minimize_misfit(model, ydelta, ladder=None, level=None, stop=None,
+                    x_start=None, penalty=None) -> RegularizedSolution:
+    """Minimize ||F(x) - ydelta||^2, the alpha = 0 entry point.
 
-    The alpha = 0 entry point: used to evaluate unregularized residuals with
-    the same dynamics, stopping rules, and projections as the Tikhonov runs.
+    Evaluates unregularized residuals with the same dynamics, stopping
+    rules, and projections as the Tikhonov runs.  A penalty, when given,
+    only supplies the start point and the reported penalty value.
     """
-    return _descend(model, ydelta, penalty, float(alpha), float(p),
-                    ladder, level, stop, x_start)
+    return _descend(model, ydelta, penalty, 0.0, ladder, level, stop, x_start)
 
 
 def minimize_tikhonov(model, ydelta, cfg: TikhonovConfig, ladder=None, level=None,
@@ -282,18 +265,17 @@ def minimize_tikhonov(model, ydelta, cfg: TikhonovConfig, ladder=None, level=Non
 
     The start defaults to the penalty prior projected into the feasible set.
     Accepted functional values are non-increasing; every iterate lies in the
-    level's subspace and inside the box bounds.  Line-search failure twice in
-    a row ends the run with ``stalled`` (never an exception).
+    level's subspace and inside the model's box.  When neither the Wolfe
+    search nor the projected backtracking finds a step, the run ends with
+    ``stalled`` (never an exception).
     """
-    if cfg.p == 1.0:
-        raise ValueError("p = 1 misfit is non-smooth; gradient descent needs p > 1")
-    return _descend(model, ydelta, cfg.penalty, cfg.alpha, cfg.p,
-                    ladder, level, stop, x_start)
+    return _descend(model, ydelta, cfg.penalty, cfg.alpha, ladder, level, stop, x_start)
 
 
-def _descend(model, ydelta, penalty, alpha, p, ladder, level, stop, x_start):
+def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
     stop = stop or StopRule()
-    proj = _project_factory(model, ladder, level)
+    box = getattr(model, "bounds", None)
+    proj = _project_factory(box, ladder, level)
     restrict = _gradient_restriction(ladder, level)
     if x_start is None:
         if penalty is None:
@@ -307,10 +289,6 @@ def _descend(model, ydelta, penalty, alpha, p, ladder, level, stop, x_start):
     dot = inner if isinstance(x, Surface) else _vector_inner
     res_norm = norm if isinstance(ydelta, Surface) else _vector_norm
 
-    box = getattr(model, "bounds", None)
-    if box is None and ladder is not None:
-        box = ladder.bounds
-
     def full_eval(z):
         # extended-value convention: +inf outside the feasible box, so the
         # line search backtracks into the domain instead of solving there
@@ -320,10 +298,10 @@ def _descend(model, ydelta, penalty, alpha, p, ladder, level, stop, x_start):
                 return np.inf, np.inf, np.inf
         res = res_norm(model.apply(z) - ydelta)
         pen = penalty_value(penalty, z) if regularized else 0.0
-        return res ** p + alpha * pen, res, pen
+        return res ** 2 + alpha * pen, res, pen
 
     def gradient(z):
-        grad = model.misfit_gradient(z, ydelta, p)
+        grad = model.misfit_gradient(z, ydelta)
         if regularized:
             grad = grad + alpha * penalty_subgradient(penalty, z)
         return grad if restrict is None else restrict(grad)
@@ -358,7 +336,6 @@ def _descend(model, ydelta, penalty, alpha, p, ladder, level, stop, x_start):
     gsq = dot(grad, grad)
     prev_gsq = None
     iterations = 0
-    stalls = 0
     band = stop.discrepancy_band
     grad_norm_tol = stop.grad_norm_tol
     max_iters = stop.max_iters
@@ -377,20 +354,14 @@ def _descend(model, ydelta, penalty, alpha, p, ladder, level, stop, x_start):
 
         direction = -1.0 * grad
         cache.clear()
-        t0 = initial_step(prev_gsq, gsq)
+        t0 = 1.0 if prev_gsq is None else prev_gsq / gsq
         t = wolfe_line_search(phi, dphi, t0)
-        if t is None:
-            retry = 1.0 if t0 != 1.0 else 0.5
-            t = wolfe_line_search(phi, dphi, retry)
         if t is not None:
-            z, val, g_z = cache[t]
-            x_new = proj(z)
-            if x_new is not z and not _same_element(x_new, z):
-                val, g_z = full_eval(x_new), None
+            x_new, val, g_z = cache[t]
         else:
-            # Wolfe bracket exhausted twice: clamped iterates can make the
-            # feasible ray segment too short for the curvature condition, so
-            # fall back to sufficient decrease along the projected path.
+            # Wolfe search failed: clamped iterates can make the feasible ray
+            # segment too short for the curvature condition, so fall back to
+            # sufficient decrease along the projected path.
             fallback = _projected_backtrack(x, direction, fval, proj, full_eval,
                                             min(1.0, t0))
             if fallback is None:
@@ -409,16 +380,7 @@ def _descend(model, ydelta, penalty, alpha, p, ladder, level, stop, x_start):
                 f"non-finite functional value {fnew} at iteration {iterations + 1}; "
                 f"residual {res_new}, step {t}, iterate range "
                 f"[{arr.min()}, {arr.max()}], shape {arr.shape}")
-        if fnew > fval + 1e-12 * (1.0 + abs(fval)):
-            # projection undid the line-search decrease; count it as a stall
-            stalls += 1
-            if stalls >= 2:
-                reason = "stalled"
-                break
-            continue
-
         iterations += 1
-        stalls = 0
         rel_change = abs(res_new - res) / max(res, _TINY)
         x, fval, res, pen = x_new, fnew, res_new, pen_new
         if band is not None and band[0] <= res <= band[1]:

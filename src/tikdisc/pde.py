@@ -196,17 +196,15 @@ def solve_forward(a: Surface, params: PdeParams, grid: Grid) -> Surface:
 
 
 def _misfit_gradient_values(a: Surface, target: Surface, params: PdeParams,
-                            grid: Grid, p: float, u: Surface) -> np.ndarray:
-    """Euclidean-to-L2 gradient of ||u(a) - target||^p on a's own grid.
+                            grid: Grid, u: Surface) -> np.ndarray:
+    """Euclidean-to-L2 gradient of ||u(a) - target||^2 on a's own grid.
 
     ``u`` is the forward state u(a).
     """
     a_vals = _coefficient_on(a, grid)
     sys = CnSystem(a_vals, grid, params.b)
     u = u.values
-    w = grid.cell_weights()
-    residual = u - target.values
-    source = 2.0 * w * residual
+    source = 2.0 * grid.cell_weights() * (u - target.values)
 
     nt = grid.nt
     ni = grid.ny - 2
@@ -218,12 +216,6 @@ def _misfit_gradient_values(a: Surface, target: Surface, params: PdeParams,
         grad[n, 1:-1] = -(mu + mu_next) * sys.coefficient_sensitivity(u[n])
         mu_next = mu
     grad[0, 1:-1] = -mu_next * sys.coefficient_sensitivity(u[0])
-
-    if p != 2.0:
-        rnorm = float(np.sqrt(np.sum(w * residual * residual)))
-        if rnorm == 0.0:
-            return np.zeros(a.grid.shape)
-        grad *= 0.5 * p * rnorm ** (p - 2.0)
 
     if a.grid != grid:
         grad = interpolate_adjoint(grad, a.grid, grid)
@@ -268,7 +260,7 @@ class ParabolicModel:
             raise ValueError("data must live on the solver grid")
         return u_delta - self._base
 
-    def misfit_gradient(self, a: Surface, ydelta: Surface, p: float = 2.0) -> Surface:
+    def misfit_gradient(self, a: Surface, ydelta: Surface) -> Surface:
         target = ydelta + self._base
-        return Surface(a.grid, _misfit_gradient_values(a, target, self.params, self.grid, p,
+        return Surface(a.grid, _misfit_gradient_values(a, target, self.params, self.grid,
                                                        self.solve(a)))

@@ -1,16 +1,15 @@
 """Tikhonov problem setup: the functional's parameters and the model's domain.
 
-The functional ||F(x) - ydelta||^p + alpha * f_x0(x) is evaluated in one
+The functional ||F(x) - ydelta||^2 + alpha * f_x0(x) is evaluated in one
 place, the descent loop of :mod:`tikdisc.optimize`.  This module holds what
-that loop and the searches around it share: ``TikhonovConfig`` (alpha, the
-misfit exponent p and the penalty) and ``check_domain``, the box check on a
-model's argument.
+that loop and the searches around it share: ``TikhonovConfig`` (alpha and
+the penalty) and ``check_domain``, the box check on a model's argument.
 
 A forward model is any object with
 
 * ``apply(x)``                        -- data-space image, deterministic: a
                                          float ndarray, or a ``Surface``;
-* ``misfit_gradient(x, ydelta, p)``   -- gradient of ||apply(x) - ydelta||^p
+* ``misfit_gradient(x, ydelta)``      -- gradient of ||apply(x) - ydelta||^2
                                          in the space of x;
 * ``bounds``                          -- optional (lo, hi) box for x;
 * ``name``                            -- short description.
@@ -33,17 +32,14 @@ __all__ = ["TikhonovConfig", "check_domain"]
 
 @dataclass(frozen=True)
 class TikhonovConfig:
-    """Regularization parameter, misfit exponent, and penalty."""
+    """Regularization parameter and penalty."""
 
     alpha: float
     penalty: Penalty
-    p: float = 2.0
 
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.p >= 1.0:
-            raise ValueError(f"misfit exponent p must be >= 1, got {self.p}")
 
 
 def check_domain(model, x) -> None:

@@ -126,6 +126,10 @@ class TestCliVerbs:
         ("sequential-demo", "sequential", "q = 1.5", "q"),
         ("sequential-demo", "sequential", "tau_tilde = 1.0", "tau_tilde"),
         ("sequential-demo", "sequential", "alpha0 = 0", "alpha0"),
+        ("rate-study", "rates", "levels = 2, 2, 6", "levels"),
+        ("rate-study", "rates", "levels = 0, 6", "levels"),
+        ("rate-study", "rates", "levels = 3, 5", "levels"),
+        ("rate-study", "rates", "deltas = 0.1, 0.01, 0", "deltas"),
     ])
     def test_rejected_value_exit_2_names_key(self, tmp_path, capsys, kind, section, lines, key):
         path = tmp_path / "bad.cfg"

@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from tikdisc import optimize
 from tikdisc.grids import Grid, Surface, constant_surface
 from tikdisc.linear import LinearModel, make_ladder_model
 from tikdisc.optimize import StopRule, minimize_misfit, minimize_tikhonov
@@ -80,14 +81,42 @@ BOX_PIN = Pin(6, "stalled", "0x1.cd82b56a04b94p+0", (
 ))
 
 
-def test_boxed_model_pinned():
+def _boxed_run():
     # the clamped instance of test_optimize's box-feasibility test
     model = LinearModel(np.eye(3), np.array([0.4, 0.6, 0.2]), bounds=(0.0, 0.5))
     ydelta = np.array([2.0, -1.0, 0.3])
     cfg = TikhonovConfig(alpha=0.01, penalty=Penalty("quadratic", np.full(3, 0.25)))
-    sol = minimize_tikhonov(model, ydelta, cfg,
-                            stop=StopRule(rel_residual_tol=1e-10, max_iters=500))
+    return minimize_tikhonov(model, ydelta, cfg,
+                             stop=StopRule(rel_residual_tol=1e-10, max_iters=500))
+
+
+def test_boxed_model_pinned():
+    assert_pinned(_boxed_run(), BOX_PIN)
+
+
+def test_boxed_model_one_wolfe_search_per_pass(monkeypatch):
+    # Five of the boxed run's six passes end on a failed Wolfe search and
+    # step by projected backtracking.  Each pass searches once: a failed
+    # search goes straight to the backtracking, with no second Wolfe try.
+    wolfe_calls, backtrack_failed = [], []
+    wolfe, backtrack = optimize.wolfe_line_search, optimize._projected_backtrack
+
+    def counted_wolfe(*args):
+        t = wolfe(*args)
+        wolfe_calls.append(t)
+        return t
+
+    def counted_backtrack(*args, **kwargs):
+        step = backtrack(*args, **kwargs)
+        backtrack_failed.append(step is None)
+        return step
+
+    monkeypatch.setattr(optimize, "wolfe_line_search", counted_wolfe)
+    monkeypatch.setattr(optimize, "_projected_backtrack", counted_backtrack)
+    sol = _boxed_run()
     assert_pinned(sol, BOX_PIN)
+    assert len(wolfe_calls) == sol.iterations + sum(backtrack_failed)
+    assert wolfe_calls.count(None) == len(backtrack_failed) == 5
 
 
 SURFACE_PIN = Pin(20, "max-iters", "0x1.9a4dd35f76377p-9", (
@@ -118,15 +147,16 @@ def test_surface_run_pinned():
     assert sol.penalty.hex() == SURFACE_PENALTY
 
 
-P3_PIN = Pin(300, "max-iters", "0x1.3c3286e798b7ap-5", (
-    "-0x1.0fe38c0503cdap-1", "0x1.3f170a3c6c9a8p-1", "0x1.e9aca5597492ap-3",
-    "0x1.33a9759f3d339p-1",
+MISFIT_PIN = Pin(300, "max-iters", "0x1.8a54c948b1bcap-5", (
+    "-0x1.0c7b6ed231d81p-2", "0x1.ee512b91be1efp-2", "0x1.28d73807acad3p-3",
+    "0x1.54a6a5d30b866p-1",
 ))
 
 
-def test_misfit_exponent_three_pinned():
+def test_unregularized_misfit_pinned():
+    # the alpha = 0 entry point, as in the sweep's alpha = 0 cells
     model, _ = make_ladder_model(4, 1, seed=31)
     ydelta = model.y + 0.1 * np.random.default_rng(7).standard_normal(4)
-    sol = minimize_misfit(model, ydelta, p=3.0, x_start=np.zeros(4),
+    sol = minimize_misfit(model, ydelta, x_start=np.zeros(4),
                           stop=StopRule(rel_residual_tol=1e-10, max_iters=300))
-    assert_pinned(sol, P3_PIN)
+    assert_pinned(sol, MISFIT_PIN)

@@ -17,13 +17,13 @@ def test_coordinate_projection_example():
 
 
 def test_projection_idempotent_bitwise():
-    lad = Ladder.coordinate((1, 2, 4), bounds=(-1.0, 1.0))
+    lad = Ladder.coordinate((1, 2, 4))
     x = np.array([0.3, -2.0, 5.0, 0.1])
     for level in range(3):
         once = project(lad, level, x)
         assert np.array_equal(project(lad, level, once), once)
 
-    grid_lad = Ladder(NESTED_GRIDS, bounds=(0.0, 1.0))
+    grid_lad = Ladder(NESTED_GRIDS)
     u = Surface(grid_lad.levels[-1], np.random.default_rng(0).uniform(-1, 2, (9, 9)))
     for level in range(3):
         once = project(grid_lad, level, u)
@@ -121,10 +121,3 @@ def test_phi_monotone_smooth_surface_on_grid_ladder():
     for a, b in zip(phis, phis[1:]):
         assert b <= a + 1e-12
     assert phis[-1] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_projection_lands_in_box():
-    lad = Ladder.coordinate((2, 3), bounds=(0.0, 1.0))
-    p = project(lad, 0, np.array([-5.0, 0.5, 9.0]))
-    assert p.min() >= 0.0 and p.max() <= 1.0
-

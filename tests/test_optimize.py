@@ -3,7 +3,8 @@ import pytest
 
 from tikdisc.grids import Grid, constant_surface
 from tikdisc.linear import LinearModel, closed_form_minimizer, make_ladder_model
-from tikdisc.optimize import (WOLFE_BRACKET_STEPS, WOLFE_C1, WOLFE_C2, StopRule, initial_step,
+from tikdisc.ladder import Ladder
+from tikdisc.optimize import (WOLFE_BRACKET_STEPS, WOLFE_C1, WOLFE_C2, StopRule,
                               minimize_misfit, minimize_tikhonov, wolfe_line_search)
 from tikdisc.penalties import Penalty
 from tikdisc.tikhonov import TikhonovConfig, check_domain
@@ -36,14 +37,6 @@ def test_check_domain_rejects_out_of_box():
     with pytest.raises(ValueError, match=r"box \[0.0, 1.0\]"):
         check_domain(model, np.array([2.0, 0.5]))
     check_domain(model, np.array([1.0, 0.0]))
-
-
-def test_initial_step_examples():
-    assert initial_step(4.0, 2.0) == 2.0
-    assert initial_step(3.0, 3.0) == 1.0
-    assert initial_step(None, 5.0) == 1.0
-    with pytest.raises(ValueError):
-        initial_step(1.0, 0.0)
 
 
 class TestWolfeLineSearch:
@@ -110,11 +103,6 @@ class TestMinimize:
         assert sol.stop_reason == "max-iters"
         assert sol.iterations == 3
 
-    def test_p_one_rejected(self):
-        with pytest.raises(ValueError, match="non-smooth"):
-            minimize_tikhonov(IDENTITY, YDELTA,
-                              TikhonovConfig(alpha=1.0, penalty=Penalty("quadratic", np.zeros(2)), p=1.0))
-
     def test_oracle_equivalence_sample(self):
         rng = np.random.default_rng(11)
         for i in range(20):
@@ -160,8 +148,8 @@ class TestMinimize:
                 seen.append(np.array(x))
                 return model.apply(x)
 
-            def misfit_gradient(self, x, ydelta, p=2.0):
-                return model.misfit_gradient(x, ydelta, p)
+            def misfit_gradient(self, x, ydelta):
+                return model.misfit_gradient(x, ydelta)
 
         ydelta = np.array([2.0, -1.0, 0.3])
         cfg = TikhonovConfig(alpha=0.01, penalty=Penalty("quadratic", np.full(3, 0.25)))
@@ -170,6 +158,17 @@ class TestMinimize:
         # accepted iterates stay in the box (line-search trials may leave it)
         assert sol.x.min() >= 0.0 and sol.x.max() <= 0.5
         assert sol.stop_reason in ("stalled", "gradient-zero", "max-iters")
+
+    def test_ladder_start_lands_in_model_box(self):
+        # the level's projection and the model's box compose: the start is
+        # restricted to the level, then clamped into the box
+        model = LinearModel(np.eye(3), np.array([0.4, 0.6, 0.2]), bounds=(0.0, 1.0))
+        cfg = TikhonovConfig(alpha=1.0, penalty=Penalty("quadratic", np.full(3, 0.5)))
+        sol = minimize_tikhonov(model, model.y, cfg, ladder=Ladder.coordinate((2, 3)), level=0,
+                                x_start=np.array([-5.0, 0.5, 9.0]),
+                                stop=StopRule(max_iters=1, rel_residual_tol=1e-300))
+        assert sol.x.min() >= 0.0 and sol.x.max() <= 1.0
+        assert sol.x[2] == 0.0
 
     def test_determinism_bitwise(self):
         model, _ = make_ladder_model(5, 1, seed=77)
@@ -211,8 +210,8 @@ class CountingModel:
         self.applies += 1
         return IDENTITY.apply(x)
 
-    def misfit_gradient(self, x, ydelta, p=2.0):
-        return IDENTITY.misfit_gradient(x, ydelta, p)
+    def misfit_gradient(self, x, ydelta):
+        return IDENTITY.misfit_gradient(x, ydelta)
 
 
 SURFACE = constant_surface(Grid.from_counts(3, 4), 0.1)

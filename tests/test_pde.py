@@ -190,13 +190,6 @@ class TestAdjointGradient:
         warm = other.misfit_gradient(a, ydelta)
         assert np.array_equal(warm.values, cold.values)
 
-    def test_p_variant_scaling(self):
-        rng, model, ydelta, a, _ = self._setup()
-        g2 = model.misfit_gradient(a, ydelta, p=2.0)
-        g4 = model.misfit_gradient(a, ydelta, p=4.0)
-        r = norm(model.apply(a) - ydelta)
-        assert np.allclose(g4.values, 2.0 * r ** 2 * g2.values, rtol=1e-12)
-
 
 def _dense_c(sys, n):
     """Interior block of C(a_n), column by column from ``apply_c``."""
