@@ -111,20 +111,18 @@ def closed_form_solution(model, ydelta, cfg, ladder=None, level=None, x_start=No
     )
 
 
-def make_ladder_model(n: int, m_levels: int, seed: int, condition=None):
+def make_ladder_model(n: int, m_levels: int, seed: int):
     """Random well-conditioned instance plus a nested coordinate ladder.
 
-    The condition number is drawn log-uniformly in [2, 100] unless given;
-    it is always <= 100.  Deterministic per seed.
+    The condition number is drawn log-uniformly in [2, 100].  Deterministic
+    per seed.
     """
     from .ladder import Ladder
 
     if n < 1 or m_levels < 1 or m_levels > n:
         raise ValueError("need 1 <= m_levels <= n")
     rng = np.random.default_rng(seed)
-    cond = float(condition) if condition is not None else float(np.exp(rng.uniform(np.log(2.0), np.log(100.0))))
-    if cond > 100.0:
-        raise ValueError("condition bound is 100")
+    cond = float(np.exp(rng.uniform(np.log(2.0), np.log(100.0))))
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     smax = 2.0

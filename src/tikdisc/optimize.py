@@ -1,16 +1,18 @@
-"""Gradient descent with a strong-Wolfe line search for Tikhonov functionals.
+"""Limited-memory BFGS descent with a strong-Wolfe line search for Tikhonov functionals.
 
-The iteration is the classical projected gradient method.  Each step
-searches the negative gradient once with a strong-Wolfe rule (sufficient
-decrease plus curvature).  The functional is +inf outside the model's box
-and search directions lie in the level's subspace, so an accepted Wolfe
-point is already feasible.  When the Wolfe search fails, the step falls back
-to backtracking along the projected path.  The run stops on a discrepancy
-band hit, a stagnating residual, a vanishing gradient, or the iteration cap.
-
-The first trial step of every search is the ratio of the previous to the
-current squared gradient norm (1 on the first iteration), which acts as a
-cheap spectral step guess; the Wolfe conditions then accept or correct it.
+Each step searches the L-BFGS direction (Nocedal's two-loop recursion over
+the ``LBFGS_MEMORY`` newest curvature pairs of the run, scaled by
+``s'y / y'y`` of the newest pair) once with a strong-Wolfe rule (sufficient
+decrease plus curvature), starting from the unit step.  A pair is kept only
+when ``s'y > 0``, so the implied inverse Hessian stays positive definite;
+with no pairs the direction is the negative gradient.  Inner products are
+the weighted L2 product on ``Surface``s and the euclidean one on vectors.
+The functional is +inf outside the model's box and search directions lie in
+the level's subspace, so an accepted Wolfe point is already feasible.  When
+the Wolfe search fails, the step falls back to backtracking along the
+projected gradient path, from the newest pair's ``min(1, s'y / y'y)``.  The
+run stops on a discrepancy band hit, a stagnating residual, a vanishing
+gradient, or the iteration cap.
 
 Runs are deterministic: identical inputs produce bitwise-identical output.
 Independent runs share no state and may execute concurrently.
@@ -28,6 +30,7 @@ evaluation; they keep their own checks.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,9 @@ _TINY = np.finfo(float).tiny
 WOLFE_C1 = 1e-8
 WOLFE_C2 = 0.95
 WOLFE_BRACKET_STEPS = 50
+
+# Number of curvature pairs (s, y) the L-BFGS direction remembers.
+LBFGS_MEMORY = 8
 
 
 @dataclass(frozen=True)
@@ -210,6 +216,28 @@ def _vector_norm(r) -> float:
     return math.sqrt(r @ r)
 
 
+def _lbfgs_direction(grad, pairs, gamma, dot):
+    """L-BFGS search direction ``-H grad`` by the two-loop recursion.
+
+    ``pairs`` holds ``(s, y, rho)`` with ``rho = 1 / dot(s, y) > 0``, oldest
+    first; ``H`` is the BFGS inverse update of ``gamma * I`` by every pair,
+    with the transposes taken in ``dot``.  With no pairs the result is
+    ``-grad``.
+    """
+    if not pairs:
+        return -1.0 * grad
+    q = grad
+    coefs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * dot(s, q)
+        q = q - a * y
+        coefs.append(a)
+    r = gamma * q
+    for (s, y, rho), a in zip(pairs, reversed(coefs)):
+        r = r + (a - rho * dot(y, r)) * s
+    return -1.0 * r
+
+
 def _projected_backtrack(x, direction, fval, proj, full_eval, t_init,
                          c1: float = 1e-4, max_halvings: int = 40):
     """Backtracking along the projected path: f(z_t) <= f(x) - (c1/t)||x - z_t||^2."""
@@ -261,7 +289,7 @@ def minimize_misfit(model, ydelta, ladder=None, level=None, stop=None,
 
 def minimize_tikhonov(model, ydelta, cfg: TikhonovConfig, ladder=None, level=None,
                       stop: "StopRule | None" = None, x_start=None) -> RegularizedSolution:
-    """Projected gradient descent on the Tikhonov functional over one level.
+    """L-BFGS descent on the Tikhonov functional over one level.
 
     The start defaults to the penalty prior projected into the feasible set.
     Accepted functional values are non-increasing; every iterate lies in the
@@ -307,7 +335,7 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
         return grad if restrict is None else restrict(grad)
 
     # The restricted functional along the current ray: phi and dphi read the
-    # loop's x, direction, fval and gsq, and share one trial cache that is
+    # loop's x, direction, fval and slope, and share one trial cache that is
     # cleared at the start of every iteration.
     cache = {}
 
@@ -321,7 +349,7 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
 
     def dphi(t):
         if t == 0.0:
-            return -gsq
+            return slope
         z, val, _ = cache.get(t) or (x + t * direction, None, None)
         if val is None:
             val = full_eval(z)
@@ -334,7 +362,9 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
         raise ValueError(f"non-finite functional value {fval} at the start point")
     grad = gradient(x)
     gsq = dot(grad, grad)
-    prev_gsq = None
+    # curvature pairs (s, y, 1 / s'y) and the initial inverse-Hessian scale
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    gamma = 1.0
     iterations = 0
     band = stop.discrepancy_band
     grad_norm_tol = stop.grad_norm_tol
@@ -352,18 +382,25 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
             reason = "max-iters"
             break
 
-        direction = -1.0 * grad
+        direction = _lbfgs_direction(grad, pairs, gamma, dot)
+        slope = dot(grad, direction)
+        if not slope < 0.0:
+            # rounding broke the positive definiteness: restart the memory
+            pairs.clear()
+            gamma = 1.0
+            direction = -1.0 * grad
+            slope = -gsq
         cache.clear()
-        t0 = 1.0 if prev_gsq is None else prev_gsq / gsq
-        t = wolfe_line_search(phi, dphi, t0)
+        t = wolfe_line_search(phi, dphi, 1.0)
         if t is not None:
             x_new, val, g_z = cache[t]
         else:
             # Wolfe search failed: clamped iterates can make the feasible ray
             # segment too short for the curvature condition, so fall back to
-            # sufficient decrease along the projected path.
+            # sufficient decrease along the projected gradient path.
+            direction = -1.0 * grad
             fallback = _projected_backtrack(x, direction, fval, proj, full_eval,
-                                            min(1.0, t0))
+                                            min(1.0, gamma))
             if fallback is None:
                 reason = "stalled"
                 break
@@ -382,6 +419,7 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
                 f"[{arr.min()}, {arr.max()}], shape {arr.shape}")
         iterations += 1
         rel_change = abs(res_new - res) / max(res, _TINY)
+        x_old, grad_old = x, grad
         x, fval, res, pen = x_new, fnew, res_new, pen_new
         if band is not None and band[0] <= res <= band[1]:
             reason = "band-hit"
@@ -389,9 +427,13 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
         if rel_change < rel_residual_tol:
             reason = "stalled"
             break
-        prev_gsq = gsq
         grad = g_z if g_z is not None else gradient(x)
         gsq = dot(grad, grad)
+        s, y = x - x_old, grad - grad_old
+        sy = dot(s, y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / dot(y, y)
 
     if penalty is not None and alpha == 0.0:
         pen = penalty_value(penalty, x)

@@ -177,6 +177,18 @@ class TestCliVerbs:
         assert len(lines) == 9
         assert all(float(line.split(",")[-1]) <= 1e-6 for line in lines[1:])
 
+    def test_shipped_oracle_iteration_count(self, tmp_path):
+        # a deterministic guard on the descent's cost: the shipped oracle's
+        # 100 instances take 1,363 iterations in total with the L-BFGS
+        # direction (206,223 with steepest descent)
+        out = tmp_path / "oracle"
+        assert main(["oracle", str(CONFIGS / "linear_oracle.cfg"), "--out", str(out)]) == 0
+        rows = (out / "oracle.csv").read_text().splitlines()[1:]
+        assert len(rows) == 100
+        assert sum(int(row.split(",")[4]) for row in rows) <= 2000
+        summary = (out / "summary.txt").read_text()
+        assert float(re.search(r"^max_rel_error=(\S+)$", summary, re.M)[1]) <= 1e-6
+
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = _write(tmp_path, SEQUENTIAL)
         target = tmp_path / "elsewhere"

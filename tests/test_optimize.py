@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from tikdisc.grids import Grid, constant_surface
+from tikdisc import optimize
+from tikdisc.grids import Grid, Surface, constant_surface, inner
 from tikdisc.linear import LinearModel, closed_form_minimizer, make_ladder_model
 from tikdisc.ladder import Ladder
-from tikdisc.optimize import (WOLFE_BRACKET_STEPS, WOLFE_C1, WOLFE_C2, StopRule,
-                              minimize_misfit, minimize_tikhonov, wolfe_line_search)
+from tikdisc.optimize import (LBFGS_MEMORY, WOLFE_BRACKET_STEPS, WOLFE_C1, WOLFE_C2, StopRule,
+                              _lbfgs_direction, _vector_inner, minimize_misfit, minimize_tikhonov,
+                              wolfe_line_search)
 from tikdisc.penalties import Penalty
 from tikdisc.tikhonov import TikhonovConfig, check_domain
 
@@ -69,6 +71,84 @@ class TestWolfeLineSearch:
         assert WOLFE_BRACKET_STEPS >= 1
 
 
+DIRECTION_GRID = Grid.from_counts(3, 4)
+
+
+def as_surface(arr):
+    return Surface(DIRECTION_GRID, arr.reshape(DIRECTION_GRID.shape))
+
+
+class TestLbfgsDirection:
+    def test_no_pairs_is_negative_gradient_bitwise(self):
+        g = np.random.default_rng(0).standard_normal(5)
+        assert _lbfgs_direction(g, [], 1.0, _vector_inner).tobytes() == (-g).tobytes()
+        gs = as_surface(np.random.default_rng(1).standard_normal(12))
+        d = _lbfgs_direction(gs, [], 1.0, inner)
+        assert d.values.tobytes() == (-gs.values).tobytes()
+
+    @pytest.mark.parametrize("space", ["vector", "surface"])
+    def test_one_pair_matches_dense_inverse_update(self, space):
+        # H = (I - rho s y*) gamma (I - rho y s*) + rho s s*, where v* is the
+        # adjoint in the inner product: v* u = <v, u>, i.e. (W v)^T u
+        rng = np.random.default_rng(2)
+        n = DIRECTION_GRID.n_points
+        w = DIRECTION_GRID.cell_weights().ravel() if space == "surface" else np.ones(n)
+        s_arr, g_arr = rng.standard_normal(n), rng.standard_normal(n)
+        y_arr = s_arr + 0.3 * rng.standard_normal(n)
+        sy, yy = np.sum(w * s_arr * y_arr), np.sum(w * y_arr * y_arr)
+        assert sy > 0.0
+        rho, gamma = 1.0 / sy, sy / yy
+        eye = np.eye(n)
+        h = ((eye - rho * np.outer(s_arr, w * y_arr)) @ (gamma * eye)
+             @ (eye - rho * np.outer(y_arr, w * s_arr)) + rho * np.outer(s_arr, w * s_arr))
+        expected = -h @ g_arr
+        if space == "surface":
+            pair = (as_surface(s_arr), as_surface(y_arr), rho)
+            d = _lbfgs_direction(as_surface(g_arr), [pair], gamma, inner).values.ravel()
+        else:
+            d = _lbfgs_direction(g_arr, [(s_arr, y_arr, rho)], gamma, _vector_inner)
+        assert np.max(np.abs(d - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_positive_curvature_pairs_give_descent(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 6
+        pairs = []
+        while len(pairs) < LBFGS_MEMORY:
+            s = rng.standard_normal(n)
+            y = rng.standard_normal(n)
+            if s @ y > 0.0:
+                pairs.append((s, y, 1.0 / (s @ y)))
+        s, y, _ = pairs[-1]
+        gamma = (s @ y) / (y @ y)
+        for _ in range(20):
+            g = rng.standard_normal(n)
+            assert g @ _lbfgs_direction(g, pairs, gamma, _vector_inner) < 0.0
+
+
+def test_non_descent_direction_restarts_memory(monkeypatch):
+    # should rounding turn the two-loop direction uphill, the loop drops its
+    # pairs and searches the negative gradient instead of failing the search
+    real, memory = optimize._lbfgs_direction, []
+
+    def uphill(grad, pairs, gamma, dot):
+        memory.append(len(pairs))
+        d = real(grad, pairs, gamma, dot)
+        return -1.0 * d if pairs else d
+
+    monkeypatch.setattr(optimize, "_lbfgs_direction", uphill)
+    model, _ = make_ladder_model(5, 1, seed=1003)
+    ydelta = model.y + 0.05 * np.random.default_rng(4).standard_normal(5)
+    cfg = TikhonovConfig(alpha=0.02, penalty=Penalty("quadratic", np.zeros(5)))
+    sol = minimize_tikhonov(model, ydelta, cfg,
+                            stop=StopRule(rel_residual_tol=1e-300, max_iters=5000,
+                                          grad_norm_tol=1e-8))
+    assert sol.stop_reason == "gradient-zero"
+    assert max(memory) == 1 and memory.count(1) > 1
+    ref = closed_form_minimizer(model.matrix, ydelta, cfg.alpha, np.zeros(5))
+    assert np.allclose(sol.x, ref, atol=1e-6)
+
+
 class TestMinimize:
     def test_identity_closed_form(self):
         sol = minimize_tikhonov(IDENTITY, YDELTA, quad_cfg(1.0),
@@ -95,7 +175,7 @@ class TestMinimize:
         assert band[0] <= sol.residual <= band[1]
 
     def test_max_iters(self):
-        model, _ = make_ladder_model(6, 1, seed=9, condition=50.0)
+        model, _ = make_ladder_model(6, 1, seed=9)
         ydelta = model.y + 0.1 * np.random.default_rng(1).standard_normal(6)
         cfg = TikhonovConfig(alpha=1e-3, penalty=Penalty("quadratic", np.zeros(6)))
         sol = minimize_tikhonov(model, ydelta, cfg,

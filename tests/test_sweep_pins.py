@@ -69,18 +69,18 @@ SWEEP_PINS = (  # (mesh position in the cut config, residual, iterations, stop)
     (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
     (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
     (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (2, '0x1.1d99b955e57f5p-5', 2, 'band-hit'),
-    (2, '0x1.21d412ff02770p-5', 2, 'band-hit'),
-    (2, '0x1.1f747f25440b5p-5', 3, 'band-hit'),
-    (2, '0x1.1aa229b925b8bp-5', 2, 'band-hit'),
-    (2, '0x1.1aadefe99587fp-5', 2, 'band-hit'),
-    (2, '0x1.1a6337fff1fb5p-5', 2, 'band-hit'),
-    (2, '0x1.1abcb0f014c18p-5', 2, 'band-hit'),
-    (2, '0x1.1abe2b356f133p-5', 2, 'band-hit'),
-    (2, '0x1.1abf59e660f80p-5', 2, 'band-hit'),
-    (2, '0x1.1abf7fbdb03f5p-5', 2, 'band-hit'),
-    (2, '0x1.1abcb52fe2871p-5', 2, 'band-hit'),
-    (2, '0x1.1abfa5954350bp-5', 2, 'band-hit'),
+    (2, '0x1.18e13076afe3cp-5', 2, 'band-hit'),
+    (2, '0x1.21b52006c12e9p-5', 2, 'band-hit'),
+    (2, '0x1.1ed0eaded260cp-5', 2, 'band-hit'),
+    (2, '0x1.0e9d55b864957p-5', 2, 'band-hit'),
+    (2, '0x1.0f36f0bd41be6p-5', 2, 'band-hit'),
+    (2, '0x1.0bf53a9268348p-5', 2, 'band-hit'),
+    (2, '0x1.100087a6614c0p-5', 2, 'band-hit'),
+    (2, '0x1.101650f78739ap-5', 2, 'band-hit'),
+    (2, '0x1.10297fa5f8c49p-5', 2, 'band-hit'),
+    (2, '0x1.102be6ffcf576p-5', 2, 'band-hit'),
+    (2, '0x1.1000c31077c1ap-5', 2, 'band-hit'),
+    (2, '0x1.102e4eaf7e0fdp-5', 2, 'band-hit'),
 )
 
 
