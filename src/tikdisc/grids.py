@@ -7,7 +7,8 @@ the trapezoidal rule on surfaces and the euclidean norm on vectors.
 
 Bilinear grid transfer is stored as two-tap stencils per axis, memoized per
 (source, target) grid pair; prolongation gathers with them and its transpose
-scatter-adds with them.
+scatter-adds with them.  The trapezoid weights are memoized per grid as one
+read-only array.
 
 All objects here are immutable after construction, so every operation in this
 module is a pure function safe to call from concurrent workers.
@@ -39,10 +40,16 @@ __all__ = [
 _SNAP = 1e-9
 
 
-@lru_cache(maxsize=512)
 def _trapezoid_axis_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
+    return w
+
+
+@lru_cache(maxsize=64)
+def _cell_weights(grid: "Grid") -> np.ndarray:
+    w = np.outer(_trapezoid_axis_weights(grid.nt, grid.dt),
+                 _trapezoid_axis_weights(grid.ny, grid.dy))
     w.setflags(write=False)
     return w
 
@@ -91,10 +98,8 @@ class Grid:
         return self.y_min + np.arange(self.ny) * self.dy
 
     def cell_weights(self) -> np.ndarray:
-        """Trapezoidal quadrature weights, one per node."""
-        wt = _trapezoid_axis_weights(self.nt, self.dt)
-        wy = _trapezoid_axis_weights(self.ny, self.dy)
-        return np.outer(wt, wy)
+        """Trapezoidal quadrature weights, one per node (read-only, memoized)."""
+        return _cell_weights(self)
 
     @classmethod
     def from_steps(cls, dt, dy, t_span=(0.0, 1.0), y_span=(-5.0, 5.0)) -> "Grid":
@@ -175,7 +180,7 @@ def norm(x) -> float:
         w = x.grid.cell_weights()
         return float(np.sqrt(np.sum(w * x.values * x.values)))
     x = np.asarray(x, dtype=float)
-    return math.sqrt(x @ x)
+    return math.sqrt(x.dot(x))
 
 
 def inner(x, y) -> float:
@@ -184,7 +189,7 @@ def inner(x, y) -> float:
         if not isinstance(y, Surface) or y.grid != x.grid:
             raise ValueError("inner product needs surfaces on the same grid")
         return float(np.sum(x.grid.cell_weights() * x.values * y.values))
-    return float(np.asarray(x, dtype=float) @ np.asarray(y, dtype=float))
+    return float(np.asarray(x, dtype=float).dot(np.asarray(y, dtype=float)))
 
 
 def clamp(x, bounds):

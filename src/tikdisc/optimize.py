@@ -208,12 +208,12 @@ def _gradient_restriction(ladder, level):
 
 def _vector_inner(a, b) -> float:
     # grids.inner on float vectors, without its type dispatch
-    return float(a @ b)
+    return float(a.dot(b))
 
 
 def _vector_norm(r) -> float:
     # grids.norm on float vectors, without its type dispatch
-    return math.sqrt(r @ r)
+    return math.sqrt(r.dot(r))
 
 
 def _lbfgs_direction(grad, pairs, gamma, dot):

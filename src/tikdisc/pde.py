@@ -17,16 +17,22 @@ diagonally dominant, which is checked at assembly; a failure means the time
 step is too large for the space step.
 
 Each step's tridiagonal system goes straight to LAPACK ``?gtsv`` (partial
-pivoting), with the three bands sliced from the stencil coefficients of
-that time row; nothing per row is stored beyond the coefficients.
+pivoting), one call per time step (``solve_banded``).  It is solved in
+negated form so that the off-diagonals are views of the stencil coefficients
+of that time row; only the diagonal is formed per row, and nothing per row
+is stored beyond the coefficients.  The forward march sets the Dirichlet
+columns once and takes the boundary sources from two precomputed columns.
 
 The misfit gradient is the exact gradient of the *discretized* functional
 a -> ||u(a) - data||^2: differentiate the stepping recurrence, transpose it,
 and sweep backwards in time reusing the stored forward states.  The adjoint
 step solves the transposed system, i.e. the same bands with lower and upper
-swapped.  Coefficients given on a coarser grid than the solver's are
-prolonged bilinearly before the solve and the gradient is restricted back by
-the transpose of that prolongation, so the chain rule stays exact to machine
+swapped.  The sweep keeps every adjoint state in one array and applies the
+coefficient sensitivity to all time rows in one elementwise expression
+afterwards: the same products as row by row, so the same bits.
+Coefficients given on a coarser grid than the solver's are prolonged
+bilinearly before the solve and the gradient is restricted back by the
+transpose of that prolongation, so the chain rule stays exact to machine
 precision.
 
 Solves are single-threaded and deterministic.  ``ParabolicModel`` keeps its
@@ -128,38 +134,43 @@ class CnSystem:
 
     def apply_c(self, n: int, u_row: np.ndarray) -> np.ndarray:
         """C(a_n) applied to a full row (boundaries included), interior output."""
-        return (self.cl[n] * u_row[:-2] + self.cd[n] * u_row[1:-1]
-                + self.cr[n] * u_row[2:])
+        out = self.cl[n] * u_row[:-2]
+        out += self.cd[n] * u_row[1:-1]
+        out += self.cr[n] * u_row[2:]
+        return out
 
     def apply_c_transpose(self, n: int, v: np.ndarray) -> np.ndarray:
         """Transpose of the interior block of C(a_n) applied to an interior vector."""
         out = self.cd[n] * v
-        out[:-1] += self.cl[n][1:] * v[1:]
-        out[1:] += self.cr[n][:-1] * v[:-1]
+        out[:-1] += self.cl[n, 1:] * v[1:]
+        out[1:] += self.cr[n, :-1] * v[:-1]
         return out
 
-    def boundary_source(self, n: int) -> tuple:
-        """Contributions of the Dirichlet columns to the first/last interior rows."""
-        return self.cl[n][0] * U_LEFT, self.cr[n][-1] * U_RIGHT
-
-    def coefficient_sensitivity(self, u_row: np.ndarray) -> np.ndarray:
-        """d[C(a) u]_j / d a_j on a full row; interior output."""
-        second = u_row[2:] - 2.0 * u_row[1:-1] + u_row[:-2]
-        first = u_row[2:] - u_row[:-2]
+    def coefficient_sensitivity(self, u: np.ndarray) -> np.ndarray:
+        """d[C(a) u]_j / d a_j on full rows (last axis); interior output."""
+        second = u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]
+        first = u[..., 2:] - u[..., :-2]
         return 0.5 * self.eta * second - 0.25 * self.am * first
 
 
 def solve_banded(sys: CnSystem, n: int, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Solve one tridiagonal system (I - C(a_n)) x = rhs on the interior.
 
-    With ``transpose`` the system is (I - C(a_n))^T x = rhs.  ``rhs`` is
-    overwritten and returned as x.
+    With ``transpose`` the system is (I - C(a_n))^T x = rhs.  ``rhs`` must be
+    a contiguous float vector; it is overwritten and returned as x.
+
+    LAPACK gets the negated system (C(a_n) - I) x = -rhs, whose off-diagonals
+    are the stencil rows themselves: they go in as views, which the wrapper
+    copies and never writes, and only the diagonal cd - 1 is formed.  Negation
+    is exact and partial pivoting compares magnitudes, so the pivots and x
+    are those of the unnegated system.
     """
-    lower = -sys.cl[n, 1:]
-    upper = -sys.cr[n, :-1]
+    lower = sys.cl[n, 1:]
+    upper = sys.cr[n, :-1]
     if transpose:
         lower, upper = upper, lower
-    _, _, _, x, info = _GTSV(lower, 1.0 - sys.cd[n], upper, rhs, 1, 1, 1, 1)
+    np.negative(rhs, out=rhs)
+    _, _, _, x, info = _GTSV(lower, sys.cd[n] - 1.0, upper, rhs, 0, 1, 0, 1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"?gtsv failed on time row {n}: info={info} (singular pivot)")
@@ -180,18 +191,18 @@ def solve_forward(a: Surface, params: PdeParams, grid: Grid) -> Surface:
     """
     a_vals = _coefficient_on(a, grid)
     sys = CnSystem(a_vals, grid, params.b)
+    src_l = sys.cl[:, 0] * U_LEFT
+    src_r = sys.cr[:, -1] * U_RIGHT
     u = np.empty(grid.shape)
     u[0] = initial_condition(grid.y_nodes())
-    u[0, 0] = U_LEFT
-    u[0, -1] = U_RIGHT
+    u[:, 0] = U_LEFT
+    u[:, -1] = U_RIGHT
     for n in range(1, grid.nt):
-        rhs = u[n - 1, 1:-1] + sys.apply_c(n - 1, u[n - 1])
-        src_l, src_r = sys.boundary_source(n)
-        rhs[0] += src_l
-        rhs[-1] += src_r
+        rhs = sys.apply_c(n - 1, u[n - 1])
+        rhs += u[n - 1, 1:-1]
+        rhs[0] += src_l[n]
+        rhs[-1] += src_r[n]
         u[n, 1:-1] = solve_banded(sys, n, rhs)
-        u[n, 0] = U_LEFT
-        u[n, -1] = U_RIGHT
     return Surface(grid, u)
 
 
@@ -207,15 +218,17 @@ def _misfit_gradient_values(a: Surface, target: Surface, params: PdeParams,
     source = 2.0 * grid.cell_weights() * (u - target.values)
 
     nt = grid.nt
-    ni = grid.ny - 2
-    grad = np.zeros(grid.shape)
-    mu_next = np.zeros(ni)
+    # mu[n] is the adjoint state of time row n; mu[nt] = 0 closes the sweep,
+    # and mu[0] = -0.0, the exact additive identity, makes row 0's term -mu[1]
+    mu = np.zeros((nt + 1, grid.ny - 2))
+    mu[0] = -0.0
     for n in range(nt - 1, 0, -1):
-        rhs = sys.apply_c_transpose(n, mu_next) + mu_next - source[n, 1:-1]
-        mu = solve_banded(sys, n, rhs, transpose=True)
-        grad[n, 1:-1] = -(mu + mu_next) * sys.coefficient_sensitivity(u[n])
-        mu_next = mu
-    grad[0, 1:-1] = -mu_next * sys.coefficient_sensitivity(u[0])
+        rhs = sys.apply_c_transpose(n, mu[n + 1])
+        rhs += mu[n + 1]
+        rhs -= source[n, 1:-1]
+        mu[n] = solve_banded(sys, n, rhs, transpose=True)
+    grad = np.zeros(grid.shape)
+    grad[:, 1:-1] = -(mu[:-1] + mu[1:]) * sys.coefficient_sensitivity(u)
 
     if a.grid != grid:
         grad = interpolate_adjoint(grad, a.grid, grid)

@@ -86,7 +86,7 @@ def penalty_value(penalty: Penalty, x) -> float:
     if penalty.kind == "quadratic":
         if isinstance(d, Surface):
             return norm(d) ** 2
-        return math.sqrt(d @ d) ** 2  # grids.norm of the float vector d
+        return math.sqrt(d.dot(d)) ** 2  # grids.norm of the float vector d
 
     g = x.grid
     w = g.cell_weights()

@@ -118,6 +118,18 @@ def test_transfer_matrices_memoized_per_grid_pair():
         assert not index.flags.writeable and not weight.flags.writeable
 
 
+def test_cell_weights_memoized_per_grid():
+    g = Grid.from_steps(0.1, 0.25)
+    first = g.cell_weights()
+    assert Grid.from_steps(0.1, 0.25).cell_weights() is first
+    assert not first.flags.writeable
+    wt = np.full(g.nt, g.dt)
+    wt[[0, -1]] = 0.5 * g.dt
+    wy = np.full(g.ny, g.dy)
+    wy[[0, -1]] = 0.5 * g.dy
+    assert np.array_equal(first, np.outer(wt, wy))
+
+
 def test_surface_io_roundtrip_bitwise(tmp_path):
     g = Grid.from_steps(0.07, 0.13)
     u = Surface(g, np.random.default_rng(2).standard_normal(g.shape))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tikdisc.grids import Grid, Surface, constant_surface, inner, interpolate, norm
+import tikdisc.pde as pde
+from tikdisc.grids import (Grid, Surface, constant_surface, inner, interpolate,
+                           interpolate_adjoint, norm)
 from tikdisc.pde import (CnSystem, ParabolicModel, PdeParams, initial_condition, solve_banded,
                          solve_forward, true_coefficient, true_sigma)
 from tikdisc.penalties import Penalty, penalty_subgradient, penalty_value
@@ -230,6 +232,130 @@ def test_step_solve_raises_on_singular_row():
     sys.cd[1] = 1.0  # diagonal of I - C(a_1) becomes zero
     with pytest.raises(np.linalg.LinAlgError, match="row 1"):
         solve_banded(sys, 1, np.ones(grid.ny - 2))
+
+
+# Reference step loops: one time row at a time, with fresh band arrays and a
+# sensitivity per row.  The solver must reproduce them bit for bit (the sign
+# of zero included).
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def _reference_solve_banded(sys, n, rhs, transpose=False):
+    lower, upper = -sys.cl[n, 1:], -sys.cr[n, :-1]
+    if transpose:
+        lower, upper = upper, lower
+    _, _, _, x, info = pde._GTSV(lower, 1.0 - sys.cd[n], upper, rhs, 1, 1, 1, 1)
+    assert info == 0
+    return x
+
+
+def _reference_sensitivity(sys, u_row):
+    second = u_row[2:] - 2.0 * u_row[1:-1] + u_row[:-2]
+    first = u_row[2:] - u_row[:-2]
+    return 0.5 * sys.eta * second - 0.25 * sys.am * first
+
+
+def _reference_forward(a_vals, params, grid):
+    sys = CnSystem(a_vals, grid, params.b)
+    u = np.empty(grid.shape)
+    u[0] = initial_condition(grid.y_nodes())
+    u[0, 0], u[0, -1] = pde.U_LEFT, pde.U_RIGHT
+    for n in range(1, grid.nt):
+        row = u[n - 1]
+        rhs = row[1:-1] + (sys.cl[n - 1] * row[:-2] + sys.cd[n - 1] * row[1:-1]
+                           + sys.cr[n - 1] * row[2:])
+        rhs[0] += sys.cl[n][0] * pde.U_LEFT
+        rhs[-1] += sys.cr[n][-1] * pde.U_RIGHT
+        u[n, 1:-1] = _reference_solve_banded(sys, n, rhs)
+        u[n, 0], u[n, -1] = pde.U_LEFT, pde.U_RIGHT
+    return u
+
+
+def _reference_gradient(a, target, params, grid):
+    a_vals = interpolate(a, grid).values
+    sys = CnSystem(a_vals, grid, params.b)
+    u = _reference_forward(a_vals, params, grid)
+    source = 2.0 * grid.cell_weights() * (u - target)
+    grad = np.zeros(grid.shape)
+    mu_next = np.zeros(grid.ny - 2)
+    for n in range(grid.nt - 1, 0, -1):
+        c_t = sys.cd[n] * mu_next
+        c_t[:-1] += sys.cl[n][1:] * mu_next[1:]
+        c_t[1:] += sys.cr[n][:-1] * mu_next[:-1]
+        mu = _reference_solve_banded(sys, n, c_t + mu_next - source[n, 1:-1], transpose=True)
+        grad[n, 1:-1] = -(mu + mu_next) * _reference_sensitivity(sys, u[n])
+        mu_next = mu
+    grad[0, 1:-1] = -mu_next * _reference_sensitivity(sys, u[0])
+    if a.grid != grid:
+        grad = interpolate_adjoint(grad, a.grid, grid)
+    return grad / a.grid.cell_weights()
+
+
+def _perturbed_truth(grid, rng):
+    noise = 1.0 + 0.2 * rng.standard_normal(grid.shape)
+    return Surface(grid, np.clip(true_coefficient(grid).values * noise, *PARAMS.bounds))
+
+
+def test_forward_matches_reference_loop_bitwise():
+    rng = np.random.default_rng(5)
+    for a in (true_coefficient(SOLVER), _perturbed_truth(SOLVER, rng)):
+        expected = _reference_forward(a.values, PARAMS, SOLVER)
+        assert _same_bits(solve_forward(a, PARAMS, SOLVER).values, expected)
+
+
+@pytest.mark.parametrize("mesh", [SOLVER, Grid.from_steps(0.1, 0.25)], ids=["solver", "coarse"])
+def test_gradient_matches_reference_loop_bitwise(mesh):
+    rng = np.random.default_rng(6)
+    model = ParabolicModel(PARAMS, SOLVER)
+    u_obs = solve_forward(true_coefficient(SOLVER), PARAMS, SOLVER).values
+    ydelta = model.shift_data(Surface(SOLVER, u_obs + 0.01 * rng.standard_normal(SOLVER.shape)))
+    a = _perturbed_truth(mesh, rng)
+    target = (ydelta + model.base_solution()).values
+    expected = _reference_gradient(a, target, PARAMS, SOLVER)
+    assert _same_bits(model.misfit_gradient(a, ydelta).values, expected)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_step_solve_matches_reference_bitwise_in_place(transpose):
+    rng = np.random.default_rng(8)
+    sys = CnSystem(true_coefficient(SOLVER).values, SOLVER, PARAMS.b)
+    bands = [band.copy() for band in (sys.cl, sys.cd, sys.cr)]
+    for n in range(1, SOLVER.nt):
+        rhs = rng.standard_normal(SOLVER.ny - 2)
+        expected = _reference_solve_banded(sys, n, rhs.copy(), transpose=transpose)
+        x = solve_banded(sys, n, rhs, transpose=transpose)
+        assert x is rhs
+        assert _same_bits(x, expected)
+    # the bands go to LAPACK as views; they must come back unchanged
+    assert all(_same_bits(a, b) for a, b in zip((sys.cl, sys.cd, sys.cr), bands))
+
+
+def test_one_forward_solve_per_memo_miss_and_one_step_solve_per_time_step(monkeypatch):
+    """The benchmark's tracer counts these module-global calls: forward solves
+    per memo miss, and tridiagonal solves equal to the time steps."""
+    model = ParabolicModel(PARAMS, SOLVER)
+    ydelta = model.apply(true_coefficient(SOLVER))
+    calls = {"forward": 0, "banded": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pde, "solve_forward", counting("forward", pde.solve_forward))
+    monkeypatch.setattr(pde, "solve_banded", counting("banded", pde.solve_banded))
+    steps = SOLVER.nt - 1
+    for a in (constant_surface(SOLVER, 0.05), constant_surface(Grid.from_steps(0.1, 0.25), 0.05)):
+        calls.update(forward=0, banded=0)
+        model.apply(a)
+        assert calls == {"forward": 1, "banded": steps}
+        model.misfit_gradient(a, ydelta)
+        assert calls == {"forward": 1, "banded": 2 * steps}
+    model.misfit_gradient(constant_surface(SOLVER, 0.06), ydelta)
+    assert calls == {"forward": 2, "banded": 4 * steps}
 
 
 def test_pde_params_validation():
