@@ -15,6 +15,6 @@ from .pde import (CnSystem, ParabolicModel, PdeParams, initial_condition, solve_
                   true_coefficient, true_sigma)
 from .penalties import PENALTY_KINDS, Penalty, penalty_subgradient, penalty_value
 from .synthdata import NoisyDataset, estimate_noise_level, generate_data, simpson_2d
-from .tikhonov import TikhonovConfig, check_domain
+from .tikhonov import TikhonovConfig
 
 __version__ = "0.1.0"

@@ -122,24 +122,21 @@ def _write_summary(out: Path, cfg: ExperimentConfig, lines) -> None:
 # pde-sweep
 
 
-def _sweep_cell(payload):
-    """One (mesh, alpha) cell; module-level so process pools can pickle it."""
-    (mesh_idx, alpha_idx, model, ydelta, mesh, alpha, pde_vals, pen_vals,
-     band_lo, band_hi, opt_vals) = payload
-    pen = Penalty("weighted-h1", constant_surface(mesh, pde_vals["a0"]),
+def _sweep_cell(task):
+    """One (mesh, alpha) cell; module-level so process pools can pickle it.
+
+    The task carries the mesh, not its prior, so a process pool pickles no
+    prior surface per task; the cell builds its own penalty.
+    """
+    model, ydelta, mesh, alpha, stop, a0, pen_vals = task
+    pen = Penalty("weighted-h1", constant_surface(mesh, a0),
                   beta1=pen_vals["beta1"],
                   beta2=pen_vals["beta2_per_dy"] * mesh.dy,
                   beta3=pen_vals["beta3_per_dtau"] * mesh.dt)
-    ladder = Ladder.free_grids((mesh,))
-    stop = StopRule(discrepancy_band=(band_lo, band_hi),
-                    max_iters=opt_vals["max_iters"],
-                    rel_residual_tol=opt_vals["rel_residual_tol"])
     if alpha > 0.0:
-        sol = minimize_tikhonov(model, ydelta, TikhonovConfig(alpha=alpha, penalty=pen),
-                                ladder=ladder, level=0, stop=stop)
-    else:
-        sol = minimize_misfit(model, ydelta, ladder=ladder, level=0, stop=stop, penalty=pen)
-    return mesh_idx, alpha_idx, sol
+        return minimize_tikhonov(model, ydelta, TikhonovConfig(alpha=alpha, penalty=pen),
+                                 stop=stop)
+    return minimize_misfit(model, ydelta, stop=stop, penalty=pen)
 
 
 def run_pde_sweep(cfg: ExperimentConfig) -> int:
@@ -160,16 +157,10 @@ def run_pde_sweep(cfg: ExperimentConfig) -> int:
     ydelta = model.shift_data(ds.u_delta)
     alphas = resolve_alphas(cfg.get("alphas", "values"), ds.delta)
     lo, hi = band.tau * ds.delta, band.lam * ds.delta
-
-    pde_vals = cfg.values["pde"]
-    pen_vals = cfg.values["penalty"]
-    opt_vals = cfg.values["optimize"]
-
-    tasks = []
-    for mesh_idx, mesh in enumerate(meshes):
-        for alpha_idx, alpha in enumerate(alphas):
-            tasks.append((mesh_idx, alpha_idx, model, ydelta, mesh, alpha,
-                          pde_vals, pen_vals, lo, hi, opt_vals))
+    stop = StopRule(discrepancy_band=(lo, hi), max_iters=cfg.get("optimize", "max_iters"),
+                    rel_residual_tol=cfg.get("optimize", "rel_residual_tol"))
+    tasks = [(model, ydelta, mesh, alpha, stop, params.a0, cfg.values["penalty"])
+             for mesh in meshes for alpha in alphas]
 
     workers = cfg.get("experiment", "workers")
     if workers > 1:
@@ -178,39 +169,29 @@ def run_pde_sweep(cfg: ExperimentConfig) -> int:
     else:
         results = [_sweep_cell(t) for t in tasks]
 
-    cells = {}
-    for mesh_idx, alpha_idx, sol in sorted(results, key=lambda r: (r[0], r[1])):
-        cells.setdefault(mesh_idx, []).append((alpha_idx, sol))
+    def selection_key(cell):
+        # in band (gap 0) the smallest residual wins, out of band the
+        # smallest gap; min keeps the first of equal keys
+        r = cell[1].residual
+        gap = max(lo - r, r - hi, 0.0)
+        return gap, r if gap == 0.0 else 0.0
 
-    residual_rows, error_rows, summary = [], [], []
-    selected = []
+    residual_rows, error_rows, summary, in_band = [], [], [], []
     for mesh_idx, mesh in enumerate(meshes):
-        in_band = []
-        closest = None
-        for alpha_idx, sol in cells[mesh_idx]:
-            r = sol.residual
-            summary.append(f"cell mesh={mesh_idx} alpha={fmt(alphas[alpha_idx])}: "
-                           f"residual={fmt(r)} iterations={sol.iterations} stop={sol.stop_reason}")
-            if alphas[alpha_idx] <= 0.0:
-                continue  # alpha = 0 cells are evaluated but never selected
-            if check_band(r, ds.delta, band):
-                in_band.append((r, alpha_idx, sol))
-            gap = max(band.tau * ds.delta - r, r - band.lam * ds.delta, 0.0)
-            if closest is None or gap < closest[0]:
-                closest = (gap, alpha_idx, sol)
-        if in_band:
-            _, alpha_idx, sol = min(in_band, key=lambda item: item[0])
-            flag = 1
-        else:
-            _, alpha_idx, sol = closest
-            flag = 0
-        alpha = alphas[alpha_idx]
+        cells = list(zip(alphas, results[mesh_idx * len(alphas):(mesh_idx + 1) * len(alphas)]))
+        for alpha, sol in cells:
+            summary.append(f"cell mesh={mesh_idx} alpha={fmt(alpha)}: residual={fmt(sol.residual)} "
+                           f"iterations={sol.iterations} stop={sol.stop_reason}")
+        # alpha = 0 cells are evaluated but never selected
+        alpha, sol = min((cell for cell in cells if cell[0] > 0.0), key=selection_key)
+        flag = int(check_band(sol.residual, ds.delta, band))
         err = l2_error(sol.x, a_true_solver)
         residual_rows.append(f"{fmt(mesh.dt)},{fmt(mesh.dy)},{mesh.n_points},"
                              f"{fmt(alpha)},{fmt(sol.residual)},{flag}")
         error_rows.append(f"{fmt(mesh.dt)},{fmt(mesh.dy)},{mesh.n_points},"
                           f"{fmt(alpha)},{fmt(err)},{flag}")
-        selected.append((mesh_idx, flag, sol, err))
+        if flag:
+            in_band.append(sol)
         summary.append(f"mesh {mesh_idx}: dtau={fmt(mesh.dt)} dy={fmt(mesh.dy)} "
                        f"delta={fmt(ds.delta)} alpha={fmt(alpha)} residual={fmt(sol.residual)} "
                        f"l2_error={fmt(err)} in_band={flag} iterations={sol.iterations} "
@@ -223,14 +204,12 @@ def run_pde_sweep(cfg: ExperimentConfig) -> int:
         fh.write(ERROR_HEADER + "\n")
         fh.write("\n".join(error_rows) + "\n")
 
-    recon = [item for item in selected if item[1] == 1][:2]
-    for rank, (mesh_idx, _, sol, _) in enumerate(recon, start=1):
+    for rank, sol in enumerate(in_band[:2], start=1):
         save_surface(sol.x, out / f"reconstruction_{rank}.txt")
 
-    any_in_band = any(flag == 1 for _, flag, _, _ in selected)
-    summary.append(f"in_band_meshes={sum(flag for _, flag, _, _ in selected)}")
+    summary.append(f"in_band_meshes={len(in_band)}")
     _write_summary(out, cfg, summary)
-    return EXIT_OK if any_in_band else EXIT_EXHAUSTED
+    return EXIT_OK if in_band else EXIT_EXHAUSTED
 
 
 # ---------------------------------------------------------------------------
@@ -334,31 +313,21 @@ def run_sequential_demo(cfg: ExperimentConfig) -> int:
     pen = Penalty("quadratic", np.zeros(2))
     ladder = Ladder.coordinate((2,))
 
-    trace = []
-
-    def recording_minimize(model_, ydelta_, tik_cfg, ladder_, level_, x_start=None):
-        sol = minimize_tikhonov(model_, ydelta_, tik_cfg, ladder=ladder_, level=level_,
-                                stop=StopRule(rel_residual_tol=1e-12, max_iters=2000),
-                                x_start=x_start)
-        trace.append((tik_cfg.alpha, sol.residual))
-        return sol
-
-    def flush(rows_source):
+    def write_trace(trace):
         with open(out / "sequential.csv", "w") as fh:
             fh.write("k,alpha,residual\n")
-            for k, (alpha, resid) in enumerate(rows_source):
+            for k, alpha, resid in trace:
                 fh.write(f"{k},{fmt(alpha)},{fmt(resid)}\n")
 
     try:
         res = sequential_discrepancy(model, ydelta, ladder, 0, s["tau_tilde"], s["alpha0"],
-                                     s["q"], s["kmax"], s["delta"], penalty=pen,
-                                     minimize_fn=recording_minimize)
+                                     s["q"], s["kmax"], s["delta"], penalty=pen)
     except SearchExhaustedError as exc:
-        flush(trace)
+        write_trace(exc.trace)
         _write_summary(out, cfg, ["status=exhausted"])
         print(f"sequential search exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    flush(trace)
+    write_trace(res.trace)
     lines = [f"k={res.k}", f"alpha={fmt(res.alpha)}",
              f"residual={fmt(res.solution.residual)}",
              f"threshold={fmt(s['tau_tilde'] * s['delta'])}"]

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _MAX_EXPANSIONS = 60  # bracket expansions per side, each by a factor of 10
+_STOP = StopRule(rel_residual_tol=1e-12, max_iters=2000)  # the default minimizer's
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,20 @@ class MorozovResult:
 
 @dataclass(frozen=True)
 class SequentialResult:
-    """Sequential principle outcome: k, alpha = q**k * alpha0, and solution."""
+    """Sequential principle outcome: k, alpha = q**k * alpha0, and solution.
+
+    ``trace`` holds ``(k, alpha_k, residual)`` of every minimization, k = 0 first.
+    """
 
     k: int
     alpha: float
     solution: RegularizedSolution
-    bracket_residual_prev: "float | None" = None
+    trace: tuple
+
+    @property
+    def bracket_residual_prev(self) -> "float | None":
+        """Residual at k - 1, above the threshold; ``None`` for k = 0."""
+        return self.trace[-2][2] if self.k >= 1 else None
 
 
 class SearchExhaustedError(RuntimeError):
@@ -113,39 +122,34 @@ def check_band(residual: float, delta: float, band: DiscrepancyBand) -> bool:
     return band.tau * delta <= residual <= band.lam * delta
 
 
-def _default_minimize(stop):
-    stop = stop or StopRule(rel_residual_tol=1e-12, max_iters=2000)
-
-    def run(model, ydelta, cfg, ladder, level, x_start=None):
-        return minimize_tikhonov(model, ydelta, cfg, ladder=ladder, level=level,
-                                 stop=stop, x_start=x_start)
-
-    return run
+def _minimize(model, ydelta, cfg, ladder, level, x_start=None):
+    """The searches' minimizer, unless ``minimize_fn`` replaces it."""
+    return minimize_tikhonov(model, ydelta, cfg, ladder=ladder, level=level, stop=_STOP,
+                             x_start=x_start)
 
 
 def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: DiscrepancyBand,
                          delta: float, *, penalty: Penalty, gamma_m: float = 0.0,
-                         alpha_bracket=(1e-4, 1.0), tol: float = 1e-3,
-                         stop=None, minimize_fn=None) -> MorozovResult:
+                         tol: float = 1e-3, minimize_fn=None) -> MorozovResult:
     """Bisection on log(alpha) targeting the per-level residual band.
 
     Requires the residual at the projected prior to exceed the upper band
-    edge (otherwise ``no-upper-bracket``).  The bracket is expanded by
-    factors of 10, at most 60 times per side, before bisecting; ``tol``
-    bounds the final log10 bracket width.  Budget exhaustion without a band
-    hit reports ``exhausted`` with the closest achieved residual, taken at
-    the last alpha reaching it; a collapsed bracket whose residuals straddle
-    the whole band signals a residual jump, and the result then names the
-    collapse point.  Each minimization starts from the previous one's result.
+    edge (otherwise ``no-upper-bracket``).  The bracket starts at [1e-4, 1]
+    and is expanded by factors of 10, at most 60 times per side, before
+    bisecting; ``tol`` bounds the final log10 bracket width.  Budget
+    exhaustion without a band hit reports ``exhausted`` with the closest
+    achieved residual, taken at the last alpha reaching it; a collapsed
+    bracket whose residuals straddle the whole band signals a residual jump,
+    and the result then names the collapse point.  Each minimization starts
+    from the previous one's result.  The penalty is used as given, so on a
+    grid level its prior must live on that level's grid.
     """
     if delta < 0.0 or gamma_m < 0.0:
         raise ValueError("delta and gamma_m must be non-negative")
-    lo, hi = (float(a) for a in alpha_bracket)
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"bad alpha bracket {alpha_bracket}")
+    lo, hi = 1e-4, 1.0
     target_lo = band.tau1 * (delta + gamma_m)
     target_hi = band.tau2 * (delta + gamma_m)
-    run = minimize_fn or _default_minimize(stop)
+    run = minimize_fn or _minimize
 
     prior = project(ladder, level, penalty.x0)
     prior_residual = norm(model.apply(prior) - ydelta)
@@ -237,15 +241,16 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
 
 def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBand,
                              delta: float, tol: float = 1e-3, *, penalty: Penalty,
-                             gammas=None, alpha_bracket=(1e-4, 1.0), stop=None,
-                             minimize_fn=None) -> MorozovResult:
+                             gammas=None, minimize_fn=None) -> MorozovResult:
     """Joint (level, alpha) selection by the relaxed discrepancy principle.
 
     Levels are scanned coarse to fine; levels whose known image gap
     exceeds (lambda / tau2 - 1) * delta are skipped.  At each candidate level
     the per-level alpha search runs with tau1 = tau; a result is accepted
     when its residual lies in [tau * delta, lambda * delta].  If every level
-    fails, the result carries per-level diagnostics.
+    fails, the result carries per-level diagnostics.  One penalty serves all
+    levels: grid levels on different meshes need one penalty per level, which
+    this search does not take, and fail the penalty's space check.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -258,8 +263,8 @@ def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBan
             notes.append(f"level {idx}: skipped, gamma {gamma:.3e} > bound {bound:.3e}")
             continue
         res = morozov_alpha_search(model, ydelta, ladder, idx, band, delta,
-                                   penalty=penalty, gamma_m=gamma, alpha_bracket=alpha_bracket,
-                                   tol=tol, stop=stop, minimize_fn=minimize_fn)
+                                   penalty=penalty, gamma_m=gamma, tol=tol,
+                                   minimize_fn=minimize_fn)
         if res.status == "in-band" and check_band(res.solution.residual, delta, band):
             return res
         notes.append(f"level {idx}: {res.status}"
@@ -282,8 +287,7 @@ def _band_gap(res: MorozovResult, delta: float, band: DiscrepancyBand) -> float:
 
 def sequential_discrepancy(model, ydelta, ladder: Ladder, level: int, tau_tilde: float,
                            alpha0: float, q: float, kmax: int, delta: float, *,
-                           penalty: Penalty, stop=None,
-                           minimize_fn=None) -> SequentialResult:
+                           penalty: Penalty, minimize_fn=None) -> SequentialResult:
     """Geometric alpha sweep alpha_k = q**k * alpha0 stopped at the band edge.
 
     Returns the smallest k with residual(alpha_k) <= tau_tilde * delta; for
@@ -295,10 +299,9 @@ def sequential_discrepancy(model, ydelta, ladder: Ladder, level: int, tau_tilde:
         raise ValueError("tau_tilde must exceed 1")
     if not alpha0 > 0.0 or not 0.0 < q < 1.0:
         raise ValueError("need alpha0 > 0 and 0 < q < 1")
-    run = minimize_fn or _default_minimize(stop)
+    run = minimize_fn or _minimize
     threshold = tau_tilde * delta
     trace = []
-    prev_residual = None
     x_start = None
     for k in range(kmax + 1):
         alpha = (q ** k) * alpha0
@@ -307,8 +310,6 @@ def sequential_discrepancy(model, ydelta, ladder: Ladder, level: int, tau_tilde:
         x_start = sol.x
         trace.append((k, alpha, sol.residual))
         if sol.residual <= threshold:
-            return SequentialResult(k=k, alpha=alpha, solution=sol,
-                                    bracket_residual_prev=prev_residual)
-        prev_residual = sol.residual
+            return SequentialResult(k=k, alpha=alpha, solution=sol, trace=tuple(trace))
     raise SearchExhaustedError(
         f"no alpha_k reached residual <= {threshold} within k <= {kmax}", trace=trace)

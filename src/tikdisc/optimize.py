@@ -17,9 +17,10 @@ gradient, or the iteration cap.
 Runs are deterministic: identical inputs produce bitwise-identical output.
 Independent runs share no state and may execute concurrently.
 
-Validation happens once per run, before the first model evaluation: the
-start point is checked against the model's box and, when a penalty is
-given, against the penalty's space (``Surface`` or vector, grid or shape).
+The start point is projected onto the level and clamped into the model's
+box, not checked against it.  Validation happens once per run, before the
+first model evaluation: when a penalty is given, the start point is checked
+against the penalty's space (``Surface`` or vector, grid or shape).
 The inner product and the residual norm are picked once per run by the
 types of the start point and the data, so the loop does no per-call type
 dispatch.  The model's ``apply``/``misfit_gradient`` and the penalty's
@@ -38,7 +39,7 @@ import numpy as np
 from .grids import Surface, clamp, inner, norm
 from .ladder import project
 from .penalties import _check_space, penalty_subgradient, penalty_value
-from .tikhonov import TikhonovConfig, check_domain
+from .tikhonov import TikhonovConfig
 
 __all__ = [
     "StopRule",
@@ -177,35 +178,6 @@ def _zoom(lo, phi_lo, dphi_lo, hi, phi_hi, f, g, phi0, dphi0, c1, c2, budget, sl
     return None
 
 
-def _project_factory(box, ladder, level):
-    """Metric projection onto the level's subspace intersected with the box."""
-    if ladder is not None:
-        if level is None:
-            raise ValueError("a ladder needs a level index")
-        return lambda z: clamp(project(ladder, level, z), box)
-    return lambda z: clamp(z, box)
-
-
-def _gradient_restriction(ladder, level):
-    """Linear part of the level projection, applied to search directions.
-
-    Coordinate ladders zero the tail of the gradient so iterates stay inside
-    the subspace; on grid ladders the models already return gradients on the
-    level's own grid, so nothing is needed and ``None`` is returned.
-    """
-    if ladder is not None and ladder.rule == "coordinate":
-        m = ladder.levels[level]
-
-        def restrict(grad):
-            arr = np.array(grad, dtype=float, copy=True)
-            if m < arr.size:
-                arr[m:] = 0.0
-            return arr
-
-        return restrict
-    return None
-
-
 def _vector_inner(a, b) -> float:
     # grids.inner on float vectors, without its type dispatch
     return float(a.dot(b))
@@ -276,15 +248,15 @@ def _band_landing(x, direction, proj, full_eval, band, t_hi, budget: int = 60):
     return None
 
 
-def minimize_misfit(model, ydelta, ladder=None, level=None, stop=None,
-                    x_start=None, penalty=None) -> RegularizedSolution:
-    """Minimize ||F(x) - ydelta||^2, the alpha = 0 entry point.
+def minimize_misfit(model, ydelta, stop=None, x_start=None,
+                    penalty=None) -> RegularizedSolution:
+    """Minimize ||F(x) - ydelta||^2 over the model's box, the alpha = 0 entry point.
 
-    Evaluates unregularized residuals with the same dynamics, stopping
-    rules, and projections as the Tikhonov runs.  A penalty, when given,
-    only supplies the start point and the reported penalty value.
+    Evaluates unregularized residuals with the same dynamics and stopping
+    rules as the Tikhonov runs.  A penalty, when given, only supplies the
+    start point and the reported penalty value.
     """
-    return _descend(model, ydelta, penalty, 0.0, ladder, level, stop, x_start)
+    return _descend(model, ydelta, penalty, 0.0, None, None, stop, x_start)
 
 
 def minimize_tikhonov(model, ydelta, cfg: TikhonovConfig, ladder=None, level=None,
@@ -303,14 +275,16 @@ def minimize_tikhonov(model, ydelta, cfg: TikhonovConfig, ladder=None, level=Non
 def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
     stop = stop or StopRule()
     box = getattr(model, "bounds", None)
-    proj = _project_factory(box, ladder, level)
-    restrict = _gradient_restriction(ladder, level)
+
+    def proj(z):
+        # metric projection onto the level's subspace intersected with the box
+        return clamp(z if ladder is None else project(ladder, level, z), box)
+
     if x_start is None:
         if penalty is None:
             raise ValueError("need x_start or a penalty whose prior can start the run")
         x_start = penalty.x0
     x = proj(x_start)
-    check_domain(model, x)
     if penalty is not None:
         _check_space(penalty, x)
     regularized = penalty is not None and alpha != 0.0
@@ -332,11 +306,12 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
         grad = model.misfit_gradient(z, ydelta)
         if regularized:
             grad = grad + alpha * penalty_subgradient(penalty, z)
-        return grad if restrict is None else restrict(grad)
+        return grad if ladder is None else project(ladder, level, grad)
 
     # The restricted functional along the current ray: phi and dphi read the
     # loop's x, direction, fval and slope, and share one trial cache that is
-    # cleared at the start of every iteration.
+    # cleared at the start of every iteration.  The search evaluates f(t)
+    # before g(t), so dphi finds its point and value cached.
     cache = {}
 
     def phi(t):
@@ -350,9 +325,7 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
     def dphi(t):
         if t == 0.0:
             return slope
-        z, val, _ = cache.get(t) or (x + t * direction, None, None)
-        if val is None:
-            val = full_eval(z)
+        z, val, _ = cache[t]
         g_z = gradient(z)
         cache[t] = (z, val, g_z)
         return dot(g_z, direction)

@@ -1,9 +1,10 @@
-"""Tikhonov problem setup: the functional's parameters and the model's domain.
+"""Tikhonov problem setup: the functional's parameters.
 
 The functional ||F(x) - ydelta||^2 + alpha * f_x0(x) is evaluated in one
 place, the descent loop of :mod:`tikdisc.optimize`.  This module holds what
 that loop and the searches around it share: ``TikhonovConfig`` (alpha and
-the penalty) and ``check_domain``, the box check on a model's argument.
+the penalty).  The descent clamps its start into the model's box, so no
+argument outside the box reaches the model.
 
 A forward model is any object with
 
@@ -22,12 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .grids import Surface
 from .penalties import Penalty
 
-__all__ = ["TikhonovConfig", "check_domain"]
+__all__ = ["TikhonovConfig"]
 
 
 @dataclass(frozen=True)
@@ -41,15 +39,3 @@ class TikhonovConfig:
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
-
-def check_domain(model, x) -> None:
-    """Reject x outside the model's box bounds, reporting the violation."""
-    if getattr(model, "bounds", None) is None:
-        return
-    lo, hi = model.bounds
-    arr = x.values if isinstance(x, Surface) else np.asarray(x, dtype=float)
-    xmin, xmax = float(arr.min()), float(arr.max())
-    if xmin < lo or xmax > hi:
-        raise ValueError(
-            f"{getattr(model, 'name', 'model')}: argument outside box [{lo}, {hi}] "
-            f"(range [{xmin}, {xmax}])")

@@ -244,6 +244,9 @@ class TestPdeSweepCli:
         assert cfg.get("experiment", "seed") == 3
 
 
+SWEEP_CELL = re.compile(r"^cell mesh=(\d+) alpha=(\S+): residual=(\S+) ")
+
+
 def test_sweep_exhaustion_exit_3(tmp_path):
     # a band far above any attainable residual: no mesh can satisfy it
     text = """
@@ -257,16 +260,34 @@ tau = 50
 lambda = 60
 
 [coefficient_meshes]
-dtau_list = 0.1
-dy_list = 0.25
+dtau_list = 0.1, 0.02
+dy_list = 0.25, 0.1
 
 [alphas]
-values = 0.01
+values = 0, 1e-4, 0.25, 0.01, delta
 """
-    cfg = _write(tmp_path, text)
-    assert main(["run", str(cfg)]) == 3
-    rows = (tmp_path / "run" / "residual.csv").read_text().splitlines()[1:]
-    assert all(row.endswith(",0") for row in rows)
+    for max_iters, selected in (
+        # one step from the prior, where the penalty's gradient is zero: all
+        # cells of a mesh tie, and the first alpha > 0 wins
+        (1, ("0.0001", "0.0001")),
+        # every residual lies below the band, so the largest has the closest gap
+        (3, ("0.01", "0.25")),
+    ):
+        out = tmp_path / f"run{max_iters}"
+        cfg = _write(tmp_path, text + f"\n[optimize]\nmax_iters = {max_iters}\n",
+                     name=f"exp{max_iters}.cfg", out=out.name)
+        assert main(["run", str(cfg)]) == 3
+        rows = [row.split(",") for row in (out / "residual.csv").read_text().splitlines()[1:]]
+        assert [(row[3], row[5]) for row in rows] == [(alpha, "0") for alpha in selected]
+        # the same rule from the cells: smallest gap below the band, first on ties
+        cells = {}
+        for line in (out / "summary.txt").read_text().splitlines():
+            m = SWEEP_CELL.match(line)
+            if m and float(m[2]) > 0.0:
+                cells.setdefault(int(m[1]), []).append((m[2], m[3]))
+        for mesh, row in enumerate(rows):
+            top = max(float(r) for _, r in cells[mesh])
+            assert (row[3], row[4]) == next(c for c in cells[mesh] if float(c[1]) == top)
 
 
 def test_rate_study_exhaustion_exit_3(tmp_path):

@@ -124,8 +124,7 @@ class TestAlphaSearch:
         band = DiscrepancyBand(tau=1.1, lam=1.6, tau1=1.1, tau2=1.5)
         tol = 1e-3
         res = morozov_alpha_search(IDENTITY, YD, LADDER2, 1, band, delta=0.1,
-                                   penalty=PEN, tol=tol, alpha_bracket=(1e-4, 1.0),
-                                   minimize_fn=closed_form_solution)
+                                   penalty=PEN, tol=tol, minimize_fn=closed_form_solution)
         # expansions + ceil(log2(bracket decades / tol))
         assert res.minimizations <= 60 + int(np.ceil(np.log2(12.0 / tol)))
 
@@ -147,13 +146,6 @@ class TestAlphaSearch:
         assert res.minimizations == minimizations
         # the reported alpha is the collapse point, not the lower bracket end
         assert 0.01 * 10 ** -max(tol, 1e-12) <= res.alpha < 0.01
-
-    def test_bad_bracket_rejected_before_prior_check(self):
-        band = DiscrepancyBand(tau=1.1, lam=1.6, tau1=1.1, tau2=1.5)
-        ydelta = np.array([0.12, 0.0])  # the prior residual is below the band
-        with pytest.raises(ValueError, match="bracket"):
-            morozov_alpha_search(IDENTITY, ydelta, LADDER2, 1, band, delta=0.1, penalty=PEN,
-                                 alpha_bracket=(0.0, 1.0), minimize_fn=closed_form_solution)
 
 
 class TestSelectLevel:

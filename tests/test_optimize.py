@@ -9,7 +9,7 @@ from tikdisc.optimize import (LBFGS_MEMORY, WOLFE_BRACKET_STEPS, WOLFE_C1, WOLFE
                               _lbfgs_direction, _vector_inner, minimize_misfit, minimize_tikhonov,
                               wolfe_line_search)
 from tikdisc.penalties import Penalty
-from tikdisc.tikhonov import TikhonovConfig, check_domain
+from tikdisc.tikhonov import TikhonovConfig
 
 IDENTITY = LinearModel(np.eye(2), np.array([1.0, 0.0]))
 YDELTA = np.array([1.0, 0.0])
@@ -32,13 +32,6 @@ def test_tikhonov_value_zero_at_consistent_prior():
     sol = minimize_tikhonov(IDENTITY, YDELTA, cfg)
     assert sol.iterations == 0
     assert sol.residual ** 2 + cfg.alpha * sol.penalty == 0.0
-
-
-def test_check_domain_rejects_out_of_box():
-    model = LinearModel(np.eye(2), np.array([0.5, 0.5]), bounds=(0.0, 1.0))
-    with pytest.raises(ValueError, match=r"box \[0.0, 1.0\]"):
-        check_domain(model, np.array([2.0, 0.5]))
-    check_domain(model, np.array([1.0, 0.0]))
 
 
 class TestWolfeLineSearch:

@@ -5,7 +5,9 @@
 their cells stop after one iteration with one residual; mesh 7 is the solver
 grid, where the cells depend on alpha.  Every cell is pinned by the ``float.hex`` of its residual,
 its iteration count and its stop reason, read back from ``summary.txt``
-(which prints each residual as its shortest round-trip decimal).  A change
+(which prints each residual as its shortest round-trip decimal).  Each
+mesh's selected ``(alpha, in_band)`` is pinned from ``residual.csv``: on
+meshes 0 and 1 all 12 residuals tie, so the first alpha (0.25) must win.  A change
 that keeps the sweep's floating-point operations and their order leaves
 every pin as it is; a change that is meant to alter the sweep must update
 the pins and say why.
@@ -36,12 +38,14 @@ def run_pinned_sweep(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     code = main(["run", str(cfg), "--out", str(tmp_path / "out"), "--seed", "0"])
+    selected = [tuple(row.split(",")[3::2])
+                for row in (tmp_path / "out" / "residual.csv").read_text().splitlines()[1:]]
     cells = []
     for line in (tmp_path / "out" / "summary.txt").read_text().splitlines():
         m = CELL.match(line)
         if m:
             cells.append((int(m[1]), float(m[2]).hex(), int(m[3]), m[4]))
-    return code, cells
+    return code, cells, selected
 
 
 SWEEP_PINS = (  # (mesh position in the cut config, residual, iterations, stop)
@@ -84,8 +88,16 @@ SWEEP_PINS = (  # (mesh position in the cut config, residual, iterations, stop)
 )
 
 
+SELECTED_PINS = (  # (alpha, in_band) per mesh, as residual.csv prints them
+    ("0.25", "1"),
+    ("0.25", "1"),
+    ("0.03153383241636501", "1"),
+)
+
+
 def test_three_mesh_sweep_pinned(tmp_path):
-    code, cells = run_pinned_sweep(tmp_path)
+    code, cells, selected = run_pinned_sweep(tmp_path)
     assert code == 0
     assert len(cells) == 36
     assert tuple(cells) == SWEEP_PINS
+    assert tuple(selected) == SELECTED_PINS
