@@ -88,6 +88,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.out is not None:
         exp["out"] = args.out
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         exp["seed"] = int(args.seed)
     if args.workers is not None:
         if args.workers < 1:
@@ -228,7 +230,8 @@ def run_linear_oracle(cfg: ExperimentConfig) -> int:
         model, _ = make_ladder_model(n, 1, seed=seed + 1000 + i)
         cond = float(np.linalg.cond(model.matrix))
         if cond > o["cond_max"]:
-            raise ConfigError(f"instance {i} violates the condition bound")
+            raise ConfigError(f"instance {i} has condition number {cond:.6g}, above "
+                              f"[oracle] cond_max = {o['cond_max']:g}")
         alpha = float(np.exp(rng.uniform(np.log(o["alpha_min"]), np.log(o["alpha_max"]))))
         ydelta = model.y + o["noise"] * rng.standard_normal(n)
         x0 = np.zeros(n)

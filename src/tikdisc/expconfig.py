@@ -278,6 +278,8 @@ def _validate_semantics(cfg: ExperimentConfig, source: str) -> None:
             raise ConfigError(f"{source}: [sequential] alpha0 must be positive")
         if not 0.0 < cfg.get("sequential", "q") < 1.0:
             raise ConfigError(f"{source}: [sequential] q must lie in (0, 1)")
+    if cfg.get("experiment", "seed") < 0:
+        raise ConfigError(f"{source}: [experiment] seed must be >= 0")
     if cfg.get("experiment", "workers") < 1:
         raise ConfigError(f"{source}: workers must be >= 1")
 

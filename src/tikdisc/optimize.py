@@ -7,12 +7,14 @@ decrease plus curvature), starting from the unit step.  A pair is kept only
 when ``s'y > 0``, so the implied inverse Hessian stays positive definite;
 with no pairs the direction is the negative gradient.  Inner products are
 the weighted L2 product on ``Surface``s and the euclidean one on vectors.
-The functional is +inf outside the model's box and search directions lie in
-the level's subspace, so an accepted Wolfe point is already feasible.  When
-the Wolfe search fails, the step falls back to backtracking along the
-projected gradient path, from the newest pair's ``min(1, s'y / y'y)``.  The
-run stops on a discrepancy band hit, a stagnating residual, a vanishing
-gradient, or the iteration cap.
+On a model with a box the search walks the projected path
+``clamp(x + t d, box)`` with its right derivative, which drops the
+components of ``d`` that sit at a bound and point out of the box; search
+directions lie in the level's subspace, so every trial point is feasible.
+A direction that is no descent direction restarts the memory on the
+projected steepest descent.  The run ends ``stalled`` when that is none
+either, when the Wolfe search fails, or when the residual stagnates; it
+also stops on a discrepancy band hit, a vanishing gradient, or the cap.
 
 Runs are deterministic: identical inputs produce bitwise-identical output.
 Independent runs share no state and may execute concurrently.
@@ -210,20 +212,20 @@ def _lbfgs_direction(grad, pairs, gamma, dot):
     return -1.0 * r
 
 
-def _projected_backtrack(x, direction, fval, proj, full_eval, t_init,
-                         c1: float = 1e-4, max_halvings: int = 40):
-    """Backtracking along the projected path: f(z_t) <= f(x) - (c1/t)||x - z_t||^2."""
-    t = float(t_init)
-    for _ in range(max_halvings):
-        z = proj(x + t * direction)
-        step = x - z
-        gap = inner(step, step)
-        if gap > 0.0:
-            val = full_eval(z)
-            if np.isfinite(val[0]) and val[0] <= fval - (c1 / t) * gap:
-                return t, z, val
-        t *= 0.5
-    return None
+def _free(x, d, box):
+    """Zero the components of ``d`` that sit at a bound of ``box`` and point out of it.
+
+    Returns ``d`` itself when ``box`` is None or no component is stuck.
+    """
+    if box is None:
+        return d
+    xa = x.values if isinstance(x, Surface) else x
+    da = d.values if isinstance(d, Surface) else d
+    stuck = ((xa <= box[0]) & (da < 0.0)) | ((xa >= box[1]) & (da > 0.0))
+    if not stuck.any():
+        return d
+    out = np.where(stuck, 0.0, da)
+    return d.with_values(out) if isinstance(d, Surface) else out
 
 
 def _band_landing(x, direction, proj, full_eval, band, t_hi, budget: int = 60):
@@ -265,9 +267,9 @@ def minimize_tikhonov(model, ydelta, cfg: TikhonovConfig, ladder=None, level=Non
 
     The start defaults to the penalty prior projected into the feasible set.
     Accepted functional values are non-increasing; every iterate lies in the
-    level's subspace and inside the model's box.  When neither the Wolfe
-    search nor the projected backtracking finds a step, the run ends with
-    ``stalled`` (never an exception).
+    level's subspace and inside the model's box.  When the projected
+    gradient vanishes or the Wolfe search along the projected path finds no
+    step, the run ends with ``stalled`` (never an exception).
     """
     return _descend(model, ydelta, cfg.penalty, cfg.alpha, ladder, level, stop, x_start)
 
@@ -292,12 +294,6 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
     res_norm = norm if isinstance(ydelta, Surface) else _vector_norm
 
     def full_eval(z):
-        # extended-value convention: +inf outside the feasible box, so the
-        # line search backtracks into the domain instead of solving there
-        if box is not None:
-            arr = z.values if isinstance(z, Surface) else z
-            if not (arr.min() >= box[0] and arr.max() <= box[1]):
-                return np.inf, np.inf, np.inf
         res = res_norm(model.apply(z) - ydelta)
         pen = penalty_value(penalty, z) if regularized else 0.0
         return res ** 2 + alpha * pen, res, pen
@@ -308,16 +304,17 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
             grad = grad + alpha * penalty_subgradient(penalty, z)
         return grad if ladder is None else project(ladder, level, grad)
 
-    # The restricted functional along the current ray: phi and dphi read the
-    # loop's x, direction, fval and slope, and share one trial cache that is
-    # cleared at the start of every iteration.  The search evaluates f(t)
-    # before g(t), so dphi finds its point and value cached.
+    # The functional along the current projected path and its right
+    # derivative: phi and dphi read the loop's x, direction, fval and slope,
+    # and share one trial cache that is cleared at the start of every
+    # iteration.  The search evaluates f(t) before g(t), so dphi finds its
+    # point and value cached.
     cache = {}
 
     def phi(t):
         if t == 0.0:
             return fval
-        z = x + t * direction
+        z = clamp(x + t * direction, box)
         val = full_eval(z)
         cache[t] = (z, val, None)
         return val[0]
@@ -328,7 +325,7 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
         z, val, _ = cache[t]
         g_z = gradient(z)
         cache[t] = (z, val, g_z)
-        return dot(g_z, direction)
+        return dot(g_z, _free(z, direction, box))
 
     fval, res, pen = full_eval(x)
     if not math.isfinite(fval):
@@ -355,30 +352,25 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
             reason = "max-iters"
             break
 
-        direction = _lbfgs_direction(grad, pairs, gamma, dot)
+        direction = _free(x, _lbfgs_direction(grad, pairs, gamma, dot), box)
         slope = dot(grad, direction)
         if not slope < 0.0:
-            # rounding broke the positive definiteness: restart the memory
+            # rounding broke the positive definiteness, or the box cut the
+            # descent: restart the memory on the projected steepest descent
             pairs.clear()
             gamma = 1.0
-            direction = -1.0 * grad
-            slope = -gsq
-        cache.clear()
-        t = wolfe_line_search(phi, dphi, 1.0)
-        if t is not None:
-            x_new, val, g_z = cache[t]
-        else:
-            # Wolfe search failed: clamped iterates can make the feasible ray
-            # segment too short for the curvature condition, so fall back to
-            # sufficient decrease along the projected gradient path.
-            direction = -1.0 * grad
-            fallback = _projected_backtrack(x, direction, fval, proj, full_eval,
-                                            min(1.0, gamma))
-            if fallback is None:
+            direction = _free(x, -1.0 * grad, box)
+            slope = dot(grad, direction)
+            if not slope < 0.0:
+                # the projected gradient is zero
                 reason = "stalled"
                 break
-            t, x_new, val = fallback
-            g_z = None
+        cache.clear()
+        t = wolfe_line_search(phi, dphi, 1.0)
+        if t is None:
+            reason = "stalled"
+            break
+        x_new, val, g_z = cache[t]
         if band is not None and res > band[1] and val[1] < band[0]:
             landed = _band_landing(x, direction, proj, full_eval, band, t)
             if landed is not None and landed[1][0] <= fval + 1e-12 * (1.0 + abs(fval)):

@@ -189,6 +189,27 @@ class TestCliVerbs:
         summary = (out / "summary.txt").read_text()
         assert float(re.search(r"^max_rel_error=(\S+)$", summary, re.M)[1]) <= 1e-6
 
+    def test_negative_seed_in_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[experiment]\nkind = linear-oracle\nseed = -2\n")
+        assert main(["oracle", str(path)]) == 2
+        assert "[experiment] seed" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "[experiment]\nkind = linear-oracle\nout = {out}\n")
+        assert main(["oracle", str(cfg), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_condition_bound_exit_2_names_key_and_values(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "[experiment]\nkind = linear-oracle\nout = {out}\n"
+                               "[oracle]\ncond_max = 5\n")
+        assert main(["oracle", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        m = re.search(r"instance (\d+) has condition number (\S+), above "
+                      r"\[oracle\] cond_max = 5$", err.strip())
+        assert m and float(m[2]) > 5.0
+
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = _write(tmp_path, SEQUENTIAL)
         target = tmp_path / "elsewhere"
@@ -271,7 +292,7 @@ values = 0, 1e-4, 0.25, 0.01, delta
         # cells of a mesh tie, and the first alpha > 0 wins
         (1, ("0.0001", "0.0001")),
         # every residual lies below the band, so the largest has the closest gap
-        (3, ("0.01", "0.25")),
+        (3, ("0.25", "0.25")),
     ):
         out = tmp_path / f"run{max_iters}"
         cfg = _write(tmp_path, text + f"\n[optimize]\nmax_iters = {max_iters}\n",

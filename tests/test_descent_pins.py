@@ -76,7 +76,7 @@ def test_coordinate_ladder_warm_start_pinned():
     assert_pinned(second, LADDER1_PIN)
 
 
-BOX_PIN = Pin(2, "stalled", "0x1.cd82b56a04db5p+0", (
+BOX_PIN = Pin(3, "stalled", "0x1.cd82b56a04db5p+0", (
     "0x1.0000000000000p-1", "0x0.0p+0", "0x1.32b16cfd7720fp-2",
 ))
 
@@ -95,31 +95,23 @@ def test_boxed_model_pinned():
 
 
 def test_boxed_model_one_wolfe_search_per_pass(monkeypatch):
-    # Two of the boxed run's three passes end on a failed Wolfe search: the
-    # first steps by projected backtracking, and the last one's backtracking
-    # fails too, which ends the run as stalled.  Each pass searches once: a
-    # failed search goes straight to the backtracking, with no second Wolfe
-    # try.
-    wolfe_calls, backtrack_failed = [], []
-    wolfe, backtrack = optimize.wolfe_line_search, optimize._projected_backtrack
+    # Each pass searches the projected path once, with no retry, and only the
+    # last search may fail, which ends the run as stalled.  On this instance,
+    # where the box binds from the first step, no search fails.
+    wolfe_calls = []
+    wolfe = optimize.wolfe_line_search
 
     def counted_wolfe(*args):
         t = wolfe(*args)
         wolfe_calls.append(t)
         return t
 
-    def counted_backtrack(*args, **kwargs):
-        step = backtrack(*args, **kwargs)
-        backtrack_failed.append(step is None)
-        return step
-
     monkeypatch.setattr(optimize, "wolfe_line_search", counted_wolfe)
-    monkeypatch.setattr(optimize, "_projected_backtrack", counted_backtrack)
     sol = _boxed_run()
     assert_pinned(sol, BOX_PIN)
-    assert len(wolfe_calls) == sol.iterations + sum(backtrack_failed)
-    assert wolfe_calls.count(None) == len(backtrack_failed) == 2
-    assert sum(backtrack_failed) == 1
+    assert len(wolfe_calls) == sol.iterations + wolfe_calls[-1:].count(None)
+    assert None not in wolfe_calls[:-1]
+    assert None not in wolfe_calls
 
 
 SURFACE_PIN = Pin(20, "max-iters", "0x1.76122524e20ccp-9", (

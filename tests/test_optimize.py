@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,16 @@ from tikdisc import optimize
 from tikdisc.grids import Grid, Surface, constant_surface, inner
 from tikdisc.linear import LinearModel, closed_form_minimizer, make_ladder_model
 from tikdisc.ladder import Ladder
+from tikdisc.expconfig import load_config
 from tikdisc.optimize import (LBFGS_MEMORY, WOLFE_BRACKET_STEPS, WOLFE_C1, WOLFE_C2, StopRule,
-                              _lbfgs_direction, _vector_inner, minimize_misfit, minimize_tikhonov,
-                              wolfe_line_search)
+                              _free, _lbfgs_direction, _vector_inner, minimize_misfit,
+                              minimize_tikhonov, wolfe_line_search)
+from tikdisc.pde import ParabolicModel, PdeParams, true_coefficient
 from tikdisc.penalties import Penalty
+from tikdisc.synthdata import generate_data
 from tikdisc.tikhonov import TikhonovConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 IDENTITY = LinearModel(np.eye(2), np.array([1.0, 0.0]))
 YDELTA = np.array([1.0, 0.0])
@@ -228,7 +235,9 @@ class TestMinimize:
         cfg = TikhonovConfig(alpha=0.01, penalty=Penalty("quadratic", np.full(3, 0.25)))
         sol = minimize_tikhonov(Tracing(), ydelta, cfg,
                                 stop=StopRule(rel_residual_tol=1e-10, max_iters=500))
-        # accepted iterates stay in the box (line-search trials may leave it)
+        # every point the model evaluates lies in the box, trial points included
+        assert len(seen) > sol.iterations
+        assert all(x.min() >= 0.0 and x.max() <= 0.5 for x in seen)
         assert sol.x.min() >= 0.0 and sol.x.max() <= 0.5
         assert sol.stop_reason in ("stalled", "gradient-zero", "max-iters")
 
@@ -252,6 +261,71 @@ class TestMinimize:
         assert np.array_equal(a.x, b.x)
         assert a.residual == b.residual and a.iterations == b.iterations
         assert a.stop_reason == b.stop_reason
+
+
+class TestFree:
+    BOX = (0.0, 1.0)
+    GRID = Grid.from_counts(2, 3)
+
+    def test_returns_its_argument_when_nothing_is_stuck(self):
+        x = np.array([0.0, 1.0, 0.5])
+        d = np.array([-1.0, 2.0, 0.5])
+        assert _free(x, d, None) is d
+        # at a bound but pointing inward, or strictly inside
+        inward = np.array([1.0, -2.0, -3.0])
+        assert _free(x, inward, self.BOX) is inward
+        xs = Surface(self.GRID, np.array([[0.0, 1.0, 0.5], [0.2, 0.0, 1.0]]))
+        ds = Surface(self.GRID, np.array([[2.0, -1.0, 4.0], [-5.0, 0.0, 0.0]]))
+        assert _free(xs, ds, None) is ds
+        assert _free(xs, ds, self.BOX) is ds
+
+    def test_zeroes_exactly_the_outward_components_at_a_bound(self):
+        x = np.array([0.0, 0.0, 1.0, 1.0, 0.5, 0.5])
+        d = np.array([-1.0, 1.0, 1.0, -1.0, -3.0, 3.0])
+        out = _free(x, d, self.BOX)
+        assert out.tolist() == [0.0, 1.0, 0.0, -1.0, -3.0, 3.0]
+        assert d.tolist() == [-1.0, 1.0, 1.0, -1.0, -3.0, 3.0]
+        xs = Surface(self.GRID, x.reshape(2, 3))
+        ds = Surface(self.GRID, d.reshape(2, 3))
+        outs = _free(xs, ds, self.BOX)
+        assert isinstance(outs, Surface) and outs.grid == self.GRID
+        assert outs.values.ravel().tolist() == out.tolist()
+
+
+def test_box_active_sweep_cell_converges(monkeypatch):
+    # seed-0 paper_sweep data on coefficient mesh 0 at alpha 1e-4, the
+    # searches' first minimization: the minimizer touches a_min, and every
+    # step still comes from a successful Wolfe search on the projected path
+    cfg = load_config(CONFIGS / "paper_sweep.cfg")
+    params = PdeParams(b=cfg.get("pde", "b"), a0=cfg.get("pde", "a0"),
+                       bounds=(cfg.get("pde", "a_min"), cfg.get("pde", "a_max")))
+    fine = Grid.from_steps(cfg.get("grids", "fine_dtau"), cfg.get("grids", "fine_dy"))
+    solver = Grid.from_steps(cfg.get("grids", "solver_dtau"), cfg.get("grids", "solver_dy"))
+    meshes = cfg.values["coefficient_meshes"]
+    mesh = Grid.from_steps(meshes["dtau_list"][0], meshes["dy_list"][0])
+    model = ParabolicModel(params, solver)
+    ds = generate_data(true_coefficient(fine), params, fine, solver, cfg.get("noise", "std"), 0)
+    weights = cfg.values["penalty"]
+    pen = Penalty("weighted-h1", constant_surface(mesh, params.a0), beta1=weights["beta1"],
+                  beta2=weights["beta2_per_dy"] * mesh.dy,
+                  beta3=weights["beta3_per_dtau"] * mesh.dt)
+    searches = []
+    wolfe = optimize.wolfe_line_search
+
+    def counted_wolfe(*args):
+        t = wolfe(*args)
+        searches.append(t)
+        return t
+
+    monkeypatch.setattr(optimize, "wolfe_line_search", counted_wolfe)
+    alpha = 1e-4
+    sol = minimize_tikhonov(model, model.shift_data(ds.u_delta),
+                            TikhonovConfig(alpha=alpha, penalty=pen),
+                            stop=StopRule(rel_residual_tol=1e-12, max_iters=2000))
+    assert sol.iterations < 2000 and sol.stop_reason != "max-iters"
+    assert len(searches) == sol.iterations and None not in searches
+    assert sol.x.values.min() == params.bounds[0]
+    assert sol.residual ** 2 + alpha * sol.penalty <= 9.9435e-4
 
 
 def test_minimize_misfit_alpha_zero():

@@ -1,13 +1,15 @@
 """Bitwise pins of a small pde sweep run through the command line.
 
-``configs/paper_sweep.cfg`` cut to its coefficient meshes 0, 1 and 7, all
-12 alphas, seed 0.  Meshes 0 and 1 are coarser than the solver grid, and all
-their cells stop after one iteration with one residual; mesh 7 is the solver
-grid, where the cells depend on alpha.  Every cell is pinned by the ``float.hex`` of its residual,
-its iteration count and its stop reason, read back from ``summary.txt``
-(which prints each residual as its shortest round-trip decimal).  Each
-mesh's selected ``(alpha, in_band)`` is pinned from ``residual.csv``: on
-meshes 0 and 1 all 12 residuals tie, so the first alpha (0.25) must win.  A change
+``configs/paper_sweep.cfg`` cut to its coefficient meshes 0, 1, 7 and 8,
+all 12 alphas, seed 0.  Meshes 0 and 1 are coarser than the solver grid and
+mesh 7 is the solver grid: on each of them all cells stop after one
+iteration with one residual.  Mesh 8 is finer than the solver grid, and
+there the cells depend on alpha.  Every cell is pinned by the ``float.hex``
+of its residual, its iteration count and its stop reason, read back from
+``summary.txt`` (which prints each residual as its shortest round-trip
+decimal).  Each mesh's selected ``(alpha, in_band)`` is pinned from
+``residual.csv``: on meshes 0, 1 and 7 all 12 residuals tie, so the first
+alpha (0.25) must win.  A change
 that keeps the sweep's floating-point operations and their order leaves
 every pin as it is; a change that is meant to alter the sweep must update
 the pins and say why.
@@ -19,7 +21,7 @@ from pathlib import Path
 from tikdisc.cli import main
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_sweep.cfg"
-MESHES = (0, 1, 7)
+MESHES = (0, 1, 7, 8)
 CELL = re.compile(r"^cell mesh=(\d+) alpha=\S+: residual=(\S+) iterations=(\d+) stop=(\S+)$")
 
 
@@ -49,55 +51,68 @@ def run_pinned_sweep(tmp_path):
 
 
 SWEEP_PINS = (  # (mesh position in the cut config, residual, iterations, stop)
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (0, '0x1.09bcd86c92735p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (1, '0x1.0d8f2c239f836p-5', 1, 'band-hit'),
-    (2, '0x1.18e13076afe3cp-5', 2, 'band-hit'),
-    (2, '0x1.21b52006c12e9p-5', 2, 'band-hit'),
-    (2, '0x1.1ed0eaded260cp-5', 2, 'band-hit'),
-    (2, '0x1.0e9d55b864957p-5', 2, 'band-hit'),
-    (2, '0x1.0f36f0bd41be6p-5', 2, 'band-hit'),
-    (2, '0x1.0bf53a9268348p-5', 2, 'band-hit'),
-    (2, '0x1.100087a6614c0p-5', 2, 'band-hit'),
-    (2, '0x1.101650f78739ap-5', 2, 'band-hit'),
-    (2, '0x1.10297fa5f8c49p-5', 2, 'band-hit'),
-    (2, '0x1.102be6ffcf576p-5', 2, 'band-hit'),
-    (2, '0x1.1000c31077c1ap-5', 2, 'band-hit'),
-    (2, '0x1.102e4eaf7e0fdp-5', 2, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (0, '0x1.12e4b44b6fb27p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (1, '0x1.101f36dad0404p-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (2, '0x1.19b2b650602dfp-5', 1, 'band-hit'),
+    (3, '0x1.21ea1cab43efap-5', 2, 'band-hit'),
+    (3, '0x1.0c4419fc1aa28p-5', 1, 'band-hit'),
+    (3, '0x1.1b83c27782d57p-5', 1, 'band-hit'),
+    (3, '0x1.14c2c316fff5fp-5', 1, 'band-hit'),
+    (3, '0x1.17355e54d6134p-5', 1, 'band-hit'),
+    (3, '0x1.0b07b6367f07dp-5', 1, 'band-hit'),
+    (3, '0x1.0b0bd678e21b5p-5', 2, 'band-hit'),
+    (3, '0x1.0abcb751ddd7ep-5', 2, 'band-hit'),
+    (3, '0x1.0a7d62a939ac8p-5', 2, 'band-hit'),
+    (3, '0x1.0a7577936ce6fp-5', 2, 'band-hit'),
+    (3, '0x1.0b0af33066279p-5', 2, 'band-hit'),
+    (3, '0x1.0a6d8c3f323f7p-5', 2, 'band-hit'),
 )
 
 
 SELECTED_PINS = (  # (alpha, in_band) per mesh, as residual.csv prints them
     ("0.25", "1"),
     ("0.25", "1"),
-    ("0.03153383241636501", "1"),
+    ("0.25", "1"),
+    ("5e-05", "1"),
 )
 
 
 def test_three_mesh_sweep_pinned(tmp_path):
     code, cells, selected = run_pinned_sweep(tmp_path)
     assert code == 0
-    assert len(cells) == 36
+    assert len(cells) == 48
     assert tuple(cells) == SWEEP_PINS
     assert tuple(selected) == SELECTED_PINS
