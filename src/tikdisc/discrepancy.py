@@ -194,7 +194,6 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
         return result(lo, sol, "exhausted",
                       detail="lower bracket expansion exhausted without dropping below the band")
 
-    hi = max(hi, lo * 10.0)
     sol_hi = residual_at(hi)
     if target_lo <= sol_hi.residual <= target_hi:
         return result(hi, sol_hi, "in-band")

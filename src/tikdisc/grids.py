@@ -166,9 +166,6 @@ class Surface:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Surface(self.grid, -self.values)
-
 
 def constant_surface(grid: Grid, value: float) -> Surface:
     return Surface(grid, np.full(grid.shape, float(value)))

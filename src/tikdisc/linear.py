@@ -107,7 +107,6 @@ def closed_form_solution(model, ydelta, cfg, ladder=None, level=None, x_start=No
         iterations=0,
         stop_reason="gradient-zero",
         alpha=cfg.alpha,
-        level=level,
     )
 
 

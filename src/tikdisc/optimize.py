@@ -103,7 +103,6 @@ class RegularizedSolution:
     iterations: int
     stop_reason: str
     alpha: float
-    level: "int | None" = None
 
     def __post_init__(self):
         if self.stop_reason not in STOP_REASONS:
@@ -228,28 +227,6 @@ def _free(x, d, box):
     return d.with_values(out) if isinstance(d, Surface) else out
 
 
-def _band_landing(x, direction, proj, full_eval, band, t_hi, budget: int = 60):
-    """Shorten a step that jumps clean across the discrepancy band.
-
-    The residual is continuous along the projected ray and exceeds the upper
-    band edge at t = 0, so bisection finds a step whose residual lands inside
-    the band; without this, a long step can tunnel through the band and the
-    stopping rule never fires.
-    """
-    lo_t, hi_t = 0.0, float(t_hi)
-    for _ in range(budget):
-        mid = 0.5 * (lo_t + hi_t)
-        z = proj(x + mid * direction)
-        val = full_eval(z)
-        if band[0] <= val[1] <= band[1]:
-            return z, val
-        if val[1] > band[1]:
-            lo_t = mid
-        else:
-            hi_t = mid
-    return None
-
-
 def minimize_misfit(model, ydelta, stop=None, x_start=None,
                     penalty=None) -> RegularizedSolution:
     """Minimize ||F(x) - ydelta||^2 over the model's box, the alpha = 0 entry point.
@@ -278,15 +255,11 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
     stop = stop or StopRule()
     box = getattr(model, "bounds", None)
 
-    def proj(z):
-        # metric projection onto the level's subspace intersected with the box
-        return clamp(z if ladder is None else project(ladder, level, z), box)
-
     if x_start is None:
         if penalty is None:
             raise ValueError("need x_start or a penalty whose prior can start the run")
         x_start = penalty.x0
-    x = proj(x_start)
+    x = clamp(x_start if ladder is None else project(ladder, level, x_start), box)
     if penalty is not None:
         _check_space(penalty, x)
     regularized = penalty is not None and alpha != 0.0
@@ -308,7 +281,8 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
     # derivative: phi and dphi read the loop's x, direction, fval and slope,
     # and share one trial cache that is cleared at the start of every
     # iteration.  The search evaluates f(t) before g(t), so dphi finds its
-    # point and value cached.
+    # point and value cached, and it returns a step only after g(t), so the
+    # accepted step's gradient is cached as well.
     cache = {}
 
     def phi(t):
@@ -371,10 +345,6 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
             reason = "stalled"
             break
         x_new, val, g_z = cache[t]
-        if band is not None and res > band[1] and val[1] < band[0]:
-            landed = _band_landing(x, direction, proj, full_eval, band, t)
-            if landed is not None and landed[1][0] <= fval + 1e-12 * (1.0 + abs(fval)):
-                x_new, val, g_z = landed[0], landed[1], None
         fnew, res_new, pen_new = val
         if not math.isfinite(fnew):
             arr = x_new.values if isinstance(x_new, Surface) else np.asarray(x_new)
@@ -392,7 +362,7 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
         if rel_change < rel_residual_tol:
             reason = "stalled"
             break
-        grad = g_z if g_z is not None else gradient(x)
+        grad = g_z
         gsq = dot(grad, grad)
         s, y = x - x_old, grad - grad_old
         sy = dot(s, y)
@@ -409,5 +379,4 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
         iterations=iterations,
         stop_reason=reason,
         alpha=alpha,
-        level=level,
     )

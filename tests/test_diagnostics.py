@@ -118,7 +118,7 @@ def _spd_runs(deltas, seed=0):
         x = closed_form_minimizer(a, ydelta, alpha, np.zeros(n))
         sol = RegularizedSolution(x=x, residual=float(np.linalg.norm(a @ x - ydelta)),
                                   penalty=penalty_value(pen, x), iterations=0,
-                                  stop_reason="gradient-zero", alpha=alpha, level=0)
+                                  stop_reason="gradient-zero", alpha=alpha)
         runs.append((delta, MorozovResult(level=0, alpha=alpha, solution=sol, gamma_m=0.0,
                                           band=(band.tau * delta, band.lam * delta),
                                           status="in-band")))

@@ -134,7 +134,7 @@ class TestAlphaSearch:
         residual = 0.05 if cfg.alpha < 0.01 else 0.5
         return RegularizedSolution(x=np.zeros(2), residual=residual, penalty=0.0,
                                    iterations=0, stop_reason="gradient-zero",
-                                   alpha=cfg.alpha, level=level)
+                                   alpha=cfg.alpha)
 
     @pytest.mark.parametrize("tol, minimizations", [(1e-3, 14), (0.0, 58), (1e-20, 58)])
     def test_residual_jump_ends_at_float_resolution(self, tol, minimizations):

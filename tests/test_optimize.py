@@ -292,23 +292,25 @@ class TestFree:
         assert outs.values.ravel().tolist() == out.tolist()
 
 
-def test_box_active_sweep_cell_converges(monkeypatch):
-    # seed-0 paper_sweep data on coefficient mesh 0 at alpha 1e-4, the
-    # searches' first minimization: the minimizer touches a_min, and every
-    # step still comes from a successful Wolfe search on the projected path
+def paper_sweep_cell(seed, mesh_index):
+    """The paper_sweep data of ``seed`` and the weighted-H1 penalty on one coefficient mesh."""
     cfg = load_config(CONFIGS / "paper_sweep.cfg")
     params = PdeParams(b=cfg.get("pde", "b"), a0=cfg.get("pde", "a0"),
                        bounds=(cfg.get("pde", "a_min"), cfg.get("pde", "a_max")))
     fine = Grid.from_steps(cfg.get("grids", "fine_dtau"), cfg.get("grids", "fine_dy"))
     solver = Grid.from_steps(cfg.get("grids", "solver_dtau"), cfg.get("grids", "solver_dy"))
     meshes = cfg.values["coefficient_meshes"]
-    mesh = Grid.from_steps(meshes["dtau_list"][0], meshes["dy_list"][0])
+    mesh = Grid.from_steps(meshes["dtau_list"][mesh_index], meshes["dy_list"][mesh_index])
     model = ParabolicModel(params, solver)
-    ds = generate_data(true_coefficient(fine), params, fine, solver, cfg.get("noise", "std"), 0)
+    ds = generate_data(true_coefficient(fine), params, fine, solver, cfg.get("noise", "std"), seed)
     weights = cfg.values["penalty"]
     pen = Penalty("weighted-h1", constant_surface(mesh, params.a0), beta1=weights["beta1"],
                   beta2=weights["beta2_per_dy"] * mesh.dy,
                   beta3=weights["beta3_per_dtau"] * mesh.dt)
+    return cfg, model, model.shift_data(ds.u_delta), ds.delta, pen
+
+
+def counted_wolfe_searches(monkeypatch):
     searches = []
     wolfe = optimize.wolfe_line_search
 
@@ -318,14 +320,41 @@ def test_box_active_sweep_cell_converges(monkeypatch):
         return t
 
     monkeypatch.setattr(optimize, "wolfe_line_search", counted_wolfe)
+    return searches
+
+
+def test_box_active_sweep_cell_converges(monkeypatch):
+    # seed-0 paper_sweep data on coefficient mesh 0 at alpha 1e-4, the
+    # searches' first minimization: the minimizer touches a_min, and every
+    # step still comes from a successful Wolfe search on the projected path
+    cfg, model, ydelta, _, pen = paper_sweep_cell(0, 0)
+    searches = counted_wolfe_searches(monkeypatch)
     alpha = 1e-4
-    sol = minimize_tikhonov(model, model.shift_data(ds.u_delta),
-                            TikhonovConfig(alpha=alpha, penalty=pen),
+    sol = minimize_tikhonov(model, ydelta, TikhonovConfig(alpha=alpha, penalty=pen),
                             stop=StopRule(rel_residual_tol=1e-12, max_iters=2000))
     assert sol.iterations < 2000 and sol.stop_reason != "max-iters"
     assert len(searches) == sol.iterations and None not in searches
-    assert sol.x.values.min() == params.bounds[0]
+    assert sol.x.values.min() == cfg.get("pde", "a_min")
     assert sol.residual ** 2 + alpha * sol.penalty <= 9.9435e-4
+
+
+def test_band_is_a_stop_not_a_step_rule(monkeypatch):
+    # seed-2 paper_sweep cell on coefficient mesh 8 (101x201) at alpha = delta,
+    # with the sweep's stop rule: the first Wolfe step jumps from above the
+    # band to below it, and the run takes it and steps on into the band
+    # instead of shortening that step
+    cfg, model, ydelta, delta, pen = paper_sweep_cell(2, 8)
+    assert delta == 0.032047463120101816
+    band = cfg.values["band"]
+    stop = StopRule(discrepancy_band=(band["tau"] * delta, band["lambda"] * delta),
+                    max_iters=cfg.get("optimize", "max_iters"),
+                    rel_residual_tol=cfg.get("optimize", "rel_residual_tol"))
+    assert (stop.max_iters, stop.rel_residual_tol) == (500, 1e-4)
+    searches = counted_wolfe_searches(monkeypatch)
+    sol = minimize_tikhonov(model, ydelta, TikhonovConfig(alpha=delta, penalty=pen), stop=stop)
+    assert (sol.stop_reason, sol.iterations) == ("band-hit", 2)
+    assert sol.residual.hex() == "0x1.1860b232fa594p-5"
+    assert len(searches) == sol.iterations
 
 
 def test_minimize_misfit_alpha_zero():

@@ -26,7 +26,7 @@ from tikdisc.cli import main
 from tikdisc.expconfig import _SCHEMAS
 from tikdisc.penalties import PENALTY_KINDS
 
-BOUND = 97  # 49 parameters + 43 config keys + 3 flags + 2 penalty kinds
+BOUND = 96  # 48 parameters + 43 config keys + 3 flags + 2 penalty kinds
 
 
 def _defaulted(fn):
