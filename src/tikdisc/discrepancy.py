@@ -5,15 +5,18 @@ Selection targets a two-sided residual band.  Per level, the band is
 operator-image projection gap; the joint search over levels accepts a result
 whose residual lies in [tau * delta, lambda * delta].  The residual is a
 non-decreasing function of alpha over exact minimizers, so the alpha search
-is a bisection on log(alpha) with bracket expansion.
+brackets the band by expansion and then closes the bracket with a
+safeguarded secant (regula falsi) on (log alpha, log residual): for small
+alpha the residual is nearly proportional to alpha, a straight line in
+those coordinates.
 
-A bisection that collapses without entering the band while its bracket
+A search that collapses without entering the band while its bracket
 residuals straddle the band indicates a residual jump (multiple minimizers);
 the search reports this in the result detail rather than repairing it.  The
 sequential principle (geometric alpha sweep stopped at the first residual
 under tau_tilde * delta) is the fallback for such operators.
 
-Per-level searches are independent and may run concurrently; each bisection
+Per-level searches are independent and may run concurrently; each search
 is sequential and deterministic.
 """
 
@@ -131,13 +134,18 @@ def _minimize(model, ydelta, cfg, ladder, level, x_start=None):
 def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: DiscrepancyBand,
                          delta: float, *, penalty: Penalty, gamma_m: float = 0.0,
                          tol: float = 1e-3, minimize_fn=None) -> MorozovResult:
-    """Bisection on log(alpha) targeting the per-level residual band.
+    """Safeguarded secant on (log alpha, log residual) targeting the per-level band.
 
     Requires the residual at the projected prior to exceed the upper band
     edge (otherwise ``no-upper-bracket``).  The bracket starts at [1e-4, 1]
-    and is expanded by factors of 10, at most 60 times per side, before
-    bisecting; ``tol`` bounds the final log10 bracket width.  Budget
-    exhaustion without a band hit reports ``exhausted`` with the closest
+    and is expanded by factors of 10, at most 60 times per side.  Each step
+    then takes the regula falsi point of the bracket ends in log-log
+    coordinates, aimed at the log of the band's geometric centre
+    ``sqrt(target_lo * target_hi)``.  It bisects log(alpha) instead when that
+    point falls outside the central 90% of the log-bracket, and on the step
+    after a secant step that did not halve the log-bracket, so every two
+    steps at least halve it.  ``tol`` bounds the final log10 bracket width.
+    Budget exhaustion without a band hit reports ``exhausted`` with the closest
     achieved residual, taken at the last alpha reaching it; a collapsed
     bracket whose residuals straddle the whole band signals a residual jump,
     and the result then names the collapse point.  Each minimization starts
@@ -219,9 +227,20 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
 
     track(lo, cache[lo])
     track(hi, cache[hi])
+    # regula falsi on (log alpha, log r) aimed at the band's geometric centre
+    goal = 0.5 * (math.log(target_lo) + math.log(target_hi))
+    bisect = False
     while math.log10(hi / lo) > tol:
+        width = math.log(hi / lo)
         mid = math.sqrt(lo * hi)
-        if mid == lo or mid == hi:  # bracket collapsed to float resolution
+        secant = False
+        if not bisect and cache[lo].residual > 0.0:
+            log_lo = math.log(cache[lo].residual)
+            frac = (goal - log_lo) / (math.log(cache[hi].residual) - log_lo)
+            if 0.05 <= frac <= 0.95:
+                mid = lo * math.exp(frac * width)
+                secant = True
+        if not lo < mid < hi:  # bracket collapsed to float resolution
             break
         sol = residual_at(mid)
         if target_lo <= sol.residual <= target_hi:
@@ -231,10 +250,12 @@ def morozov_alpha_search(model, ydelta, ladder: Ladder, level: int, band: Discre
             lo = mid
         else:
             hi = mid
+        # a secant step that did not halve the bracket is followed by a bisection
+        bisect = secant and math.log(hi / lo) > 0.5 * width
     jump = (cache[lo].residual < target_lo) and (cache[hi].residual > target_hi)
     detail = ("alpha bracket collapsed with residuals straddling the band; "
               "residual jump across the band (multiple-minimizer violation suspected)"
-              if jump else "bisection tolerance reached without entering the band")
+              if jump else "bracket tolerance reached without entering the band")
     return result(best_alpha, best_sol[0], "exhausted", detail=detail)
 
 
@@ -247,15 +268,18 @@ def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBan
     exceeds (lambda / tau2 - 1) * delta are skipped.  At each candidate level
     the per-level alpha search runs with tau1 = tau; a result is accepted
     when its residual lies in [tau * delta, lambda * delta].  If every level
-    fails, the result carries per-level diagnostics.  One penalty serves all
-    levels: grid levels on different meshes need one penalty per level, which
-    this search does not take, and fail the penalty's space check.
+    fails, the result carries per-level diagnostics.  ``minimizations``
+    counts the searches of every level tried, not only the returned one's.
+    One penalty serves all levels: grid levels on different meshes need one
+    penalty per level, which this search does not take, and fail the
+    penalty's space check.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     bound = (band.lam / band.tau2 - 1.0) * delta
     notes = []
     best = None
+    total = 0
     for idx in range(len(ladder.levels)):
         gamma = 0.0 if gammas is None else float(gammas[idx])
         if gammas is not None and gamma > bound:
@@ -264,8 +288,9 @@ def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBan
         res = morozov_alpha_search(model, ydelta, ladder, idx, band, delta,
                                    penalty=penalty, gamma_m=gamma, tol=tol,
                                    minimize_fn=minimize_fn)
+        total += res.minimizations
         if res.status == "in-band" and check_band(res.solution.residual, delta, band):
-            return res
+            return replace(res, minimizations=total)
         notes.append(f"level {idx}: {res.status}"
                      + (f" ({res.detail})" if res.detail else ""))
         if res.solution is not None and (best is None or _band_gap(res, delta, band)
@@ -273,7 +298,7 @@ def joint_discrepancy_search(model, ydelta, ladder: Ladder, band: DiscrepancyBan
             best = res
     detail = "; ".join(notes) if notes else "ladder has no candidate levels"
     if best is not None:
-        return replace(best, status="exhausted", detail=detail)
+        return replace(best, status="exhausted", detail=detail, minimizations=total)
     return MorozovResult(level=-1, alpha=float("nan"), solution=None, gamma_m=float("nan"),
                          band=(band.tau * delta, band.lam * delta), status="exhausted",
                          detail=detail)

@@ -13,8 +13,11 @@ components of ``d`` that sit at a bound and point out of the box; search
 directions lie in the level's subspace, so every trial point is feasible.
 A direction that is no descent direction restarts the memory on the
 projected steepest descent.  The run ends ``stalled`` when that is none
-either, when the Wolfe search fails, or when the residual stagnates; it
-also stops on a discrepancy band hit, a vanishing gradient, or the cap.
+either, when the slope along the direction is below the rounding level of
+the functional (``-slope <= eps * |f|``, so the unit step's first-order
+decrease would vanish in ``f``'s last bit), when the Wolfe search fails, or
+when the residual stagnates; it also stops on a discrepancy band hit, a
+vanishing gradient, or the cap.
 
 Runs are deterministic: identical inputs produce bitwise-identical output.
 Independent runs share no state and may execute concurrently.
@@ -54,6 +57,7 @@ __all__ = [
 STOP_REASONS = ("band-hit", "max-iters", "stalled", "gradient-zero")
 
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 # Strong-Wolfe constants 0 < C1 < C2 < 1 and the bracket budget, shared by
 # the bracketing phase and the zoom.
@@ -245,8 +249,9 @@ def minimize_tikhonov(model, ydelta, cfg: TikhonovConfig, ladder=None, level=Non
     The start defaults to the penalty prior projected into the feasible set.
     Accepted functional values are non-increasing; every iterate lies in the
     level's subspace and inside the model's box.  When the projected
-    gradient vanishes or the Wolfe search along the projected path finds no
-    step, the run ends with ``stalled`` (never an exception).
+    gradient vanishes, the slope falls below the rounding level of the
+    functional, or the Wolfe search along the projected path finds no step,
+    the run ends with ``stalled`` (never an exception).
     """
     return _descend(model, ydelta, cfg.penalty, cfg.alpha, ladder, level, stop, x_start)
 
@@ -335,10 +340,11 @@ def _descend(model, ydelta, penalty, alpha, ladder, level, stop, x_start):
             gamma = 1.0
             direction = _free(x, -1.0 * grad, box)
             slope = dot(grad, direction)
-            if not slope < 0.0:
-                # the projected gradient is zero
-                reason = "stalled"
-                break
+        if not slope < -_EPS * abs(fval):
+            # the projected gradient is zero, or the unit step's first-order
+            # decrease is below the rounding of fval
+            reason = "stalled"
+            break
         cache.clear()
         t = wolfe_line_search(phi, dphi, 1.0)
         if t is None:

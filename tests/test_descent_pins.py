@@ -51,13 +51,13 @@ def test_unbounded_oracle_instance_pinned():
     assert_pinned(sol, ORACLE_PIN)
 
 
-LADDER0_PIN = Pin(9, "stalled", "0x1.364d7dfde0f23p-1", (
-    "0x1.6b48999c3770ep+0", "0x1.3b560bd493726p-1", "0x1.caa02e9fcfd9ep-1",
+LADDER0_PIN = Pin(7, "stalled", "0x1.364d7dfe00ca4p-1", (
+    "0x1.6b48999be11d6p+0", "0x1.3b560bd4304a4p-1", "0x1.caa02ea04e179p-1",
     "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
 ))
-LADDER1_PIN = Pin(42, "stalled", "0x1.77be2202aeeecp-5", (
-    "0x1.8e6da9258738ap-3", "0x1.363022dea26adp-4", "0x1.2827dcacd91bep-2",
-    "0x1.042abec08a099p-1", "0x1.253d827c6dd78p+0", "-0x1.4191f7129f90dp-3",
+LADDER1_PIN = Pin(32, "stalled", "0x1.77be2215af4d3p-5", (
+    "0x1.8e6da9773ca0fp-3", "0x1.363023387bac5p-4", "0x1.2827dcb9979ddp-2",
+    "0x1.042abeb95d94ap-1", "0x1.253d8278710e0p+0", "-0x1.4191f72394cafp-3",
 ))
 
 
@@ -76,8 +76,8 @@ def test_coordinate_ladder_warm_start_pinned():
     assert_pinned(second, LADDER1_PIN)
 
 
-BOX_PIN = Pin(3, "stalled", "0x1.cd82b56a04db5p+0", (
-    "0x1.0000000000000p-1", "0x0.0p+0", "0x1.32b16cfd7720fp-2",
+BOX_PIN = Pin(2, "stalled", "0x1.cd82b56a04db5p+0", (
+    "0x1.0000000000000p-1", "0x0.0p+0", "0x1.32b16cfd7720cp-2",
 ))
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from tikdisc import discrepancy
 from tikdisc.discrepancy import (DiscrepancyBand, SearchExhaustedError, check_band,
                                  joint_discrepancy_search, morozov_alpha_search,
                                  sequential_discrepancy)
 from tikdisc.ladder import Ladder, gamma_m
-from tikdisc.linear import LinearModel, closed_form_minimizer, closed_form_solution
+from tikdisc.linear import (LinearModel, closed_form_minimizer, closed_form_solution,
+                            make_ladder_model)
 from tikdisc.optimize import RegularizedSolution
 from tikdisc.penalties import Penalty
 from tikdisc.tikhonov import TikhonovConfig
@@ -136,7 +138,7 @@ class TestAlphaSearch:
                                    iterations=0, stop_reason="gradient-zero",
                                    alpha=cfg.alpha)
 
-    @pytest.mark.parametrize("tol, minimizations", [(1e-3, 14), (0.0, 58), (1e-20, 58)])
+    @pytest.mark.parametrize("tol, minimizations", [(1e-3, 17), (0.0, 59), (1e-20, 59)])
     def test_residual_jump_ends_at_float_resolution(self, tol, minimizations):
         band = DiscrepancyBand(tau=1.025, lam=1.125)
         res = morozov_alpha_search(IDENTITY, YD, LADDER2, 1, band, delta=0.1, penalty=PEN,
@@ -146,6 +148,32 @@ class TestAlphaSearch:
         assert res.minimizations == minimizations
         # the reported alpha is the collapse point, not the lower bracket end
         assert 0.01 * 10 ** -max(tol, 1e-12) <= res.alpha < 0.01
+
+    def test_secant_halves_the_bracket_every_two_steps(self):
+        # residual jumps from 0.1 to 0.16 at alpha = 0.01: the log-log secant
+        # aims a tenth of the way into the bracket and moves only its lower
+        # end, yet the safeguards halve the log-bracket in every two steps
+        alphas = []
+
+        def recorded(model, ydelta, cfg, ladder, level, x_start=None):
+            alphas.append(cfg.alpha)
+            residual = 0.1 if cfg.alpha < 0.01 else 0.16
+            return RegularizedSolution(x=np.zeros(2), residual=residual, penalty=0.0,
+                                       iterations=0, stop_reason="gradient-zero",
+                                       alpha=cfg.alpha)
+
+        band = DiscrepancyBand(tau=1.025, lam=1.125)
+        morozov_alpha_search(IDENTITY, YD, LADDER2, 1, band, delta=0.1, penalty=PEN,
+                             tol=1e-6, minimize_fn=recorded)
+        assert alphas[:2] == [1e-4, 1.0]  # the bracket needs no expansion
+        lo, hi = alphas[:2]
+        widths = [np.log(hi / lo)]
+        for alpha in alphas[2:]:
+            assert lo < alpha < hi
+            lo, hi = (alpha, hi) if alpha < 0.01 else (lo, alpha)
+            widths.append(np.log(hi / lo))
+        assert len(widths) > 10
+        assert all(w2 <= 0.5 * w0 for w0, w2 in zip(widths, widths[2:]))
 
 
 class TestSelectLevel:
@@ -239,6 +267,27 @@ class TestJointSearch:
                     break
             assert (res.status == "in-band") == scan_hit
 
+    def test_minimizations_count_every_searched_level(self):
+        # level 0 (3 of 6 coordinates) cannot fit the data: its search runs the
+        # lower bracket expansion to the end before level 1 lands in band
+        model, ladder = make_ladder_model(6, 2, seed=21)
+        noise = np.random.default_rng(5).standard_normal(6)
+        ydelta = model.y + 0.01 * noise / np.linalg.norm(noise)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return discrepancy._minimize(*args, **kwargs)
+
+        res = joint_discrepancy_search(model, ydelta, ladder,
+                                       DiscrepancyBand(tau=1.025, lam=1.125), 0.01,
+                                       penalty=Penalty("quadratic", np.zeros(6)),
+                                       minimize_fn=counted)
+        assert res.status == "in-band"
+        assert res.level == 1
+        assert calls.count(0) == 61
+        assert res.minimizations == len(calls)
+
 
 class TestSequential:
     def test_worked_example(self):
@@ -269,6 +318,33 @@ class TestSequential:
                                    penalty=PEN, minimize_fn=closed_form_solution)
         assert len(err.value.trace) == 9
         assert all(r > 0.12 for _, _, r in err.value.trace)
+
+    def test_warm_started_runs_stop_at_rounding_level_slope(self):
+        # the sequential-demo instance with the default minimizer: each run
+        # after k = 0 steps onto its minimizer, and the next slope is below
+        # the rounding level of the functional, so no line search follows
+        applies = []
+
+        class CountingModel(LinearModel):
+            def apply(self, x):
+                applies[-1] += 1
+                return super().apply(x)
+
+        runs = []
+
+        def counted(*args, **kwargs):
+            applies.append(0)
+            sol = discrepancy._minimize(*args, **kwargs)
+            runs.append(sol)
+            return sol
+
+        model = CountingModel(np.eye(2), np.array([1.0, 0.0]))
+        res = sequential_discrepancy(model, YD, Ladder.coordinate((2,)), 0, tau_tilde=1.2,
+                                     alpha0=1.0, q=0.5, kmax=30, delta=0.1,
+                                     penalty=PEN, minimize_fn=counted)
+        assert res.k == 3
+        assert applies[1:] == [3, 3, 3]
+        assert [(s.iterations, s.stop_reason) for s in runs[1:]] == [(1, "stalled")] * 3
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
